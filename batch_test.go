@@ -61,36 +61,3 @@ func TestSolverAnalyzeAllMatchesAnalyze(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedBatchWrappersBitIdentical is the regression keeping the
-// deprecated free functions honest: repro.Analyze and repro.AnalyzeAll
-// must stay bit-identical to the Solver session API they wrap.
-func TestDeprecatedBatchWrappersBitIdentical(t *testing.T) {
-	sys, cfgs := batchSystem(t)
-	app, arch := sys.Application, sys.Architecture
-	ctx := context.Background()
-	solver, err := repro.NewSolver(app, arch, repro.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := solver.AnalyzeAll(ctx, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := repro.AnalyzeAll(ctx, app, arch, cfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("deprecated AnalyzeAll differs from Solver.AnalyzeAll")
-	}
-	for i, cfg := range cfgs {
-		single, err := repro.Analyze(app, arch, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single, want[i].Analysis) {
-			t.Errorf("cfg %d: deprecated Analyze differs from the session analysis", i)
-		}
-	}
-}

@@ -130,9 +130,16 @@ func benchAnalyze(b *testing.B, nodes int) {
 	if err := cfg.Normalize(app); err != nil {
 		b.Fatal(err)
 	}
+	// Delta evaluation off: every iteration is a full cold analysis,
+	// not a config-memo hit.
+	solver, err := NewSolver(app, arch, WithDelta(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(app, arch, cfg); err != nil {
+		if _, err := solver.Analyze(ctx, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,8 +188,12 @@ func BenchmarkSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	app, arch := sys.Application, sys.Architecture
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
+	ctx := context.Background()
+	solver, err := NewSolver(sys.Application, sys.Architecture, WithStrategy(StrategyOptimizeSchedule))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := solver.Synthesize(ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,7 +202,7 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simRes, err := Simulate(app, arch, res.Config, res.Analysis, SimOptions{Cycles: 4, Exec: ExecRandom, Seed: int64(i + 1)})
+		simRes, err := solver.Simulate(ctx, res.Config, res.Analysis, SimOptions{Cycles: 4, Exec: ExecRandom, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

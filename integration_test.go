@@ -2,8 +2,24 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
+
+// synthesizeOS runs the OS heuristic on a fresh Solver session, which
+// the tests below reuse for simulation.
+func synthesizeOS(t *testing.T, app *Application, arch *Architecture) (*Solver, *SynthesisResult) {
+	t.Helper()
+	solver, err := NewSolver(app, arch, WithStrategy(StrategyOptimizeSchedule))
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	res, err := solver.Synthesize(context.Background())
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	return solver, res
+}
 
 // TestConfigRoundTrip synthesizes a configuration, serializes it, loads
 // it back and verifies the re-analysis is bit-identical (the whole
@@ -14,10 +30,7 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
+	_, res := synthesizeOS(t, app, arch)
 	var buf bytes.Buffer
 	if err := SaveConfig(res.Config, &buf); err != nil {
 		t.Fatalf("SaveConfig: %v", err)
@@ -27,7 +40,11 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("LoadConfig: %v", err)
 	}
 	a1 := res.Analysis
-	a2, err := Analyze(app, arch, loaded)
+	cold, err := NewSolver(app, arch, WithDelta(false)) // a true re-analysis, not a memo hit
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	a2, err := cold.Analyze(context.Background(), loaded)
 	if err != nil {
 		t.Fatalf("Analyze(loaded): %v", err)
 	}
@@ -57,7 +74,11 @@ func TestLoadConfigRejectsForeignSystem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	res, err := Synthesize(sysA.Application, sysA.Architecture, SynthesisOptions{Strategy: StrategyStraightforward})
+	solver, err := NewSolver(sysA.Application, sysA.Architecture)
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	res, err := solver.Synthesize(context.Background()) // the default strategy is SF
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
@@ -92,14 +113,11 @@ func TestMultiRateEndToEnd(t *testing.T) {
 	if h == app.Graphs[len(app.Graphs)-1].Period && len(app.Graphs) > 1 {
 		t.Log("note: all graphs ended up with the hyperperiod-period")
 	}
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
+	solver, res := synthesizeOS(t, app, arch)
 	if !res.Analysis.Schedulable {
 		t.Skipf("multi-rate seed 5 unschedulable (delta=%d)", res.Analysis.Delta)
 	}
-	simRes, err := Simulate(app, arch, res.Config, res.Analysis, SimOptions{Cycles: 2})
+	simRes, err := solver.Simulate(context.Background(), res.Config, res.Analysis, SimOptions{Cycles: 2})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -119,13 +137,9 @@ func TestSimulationTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CruiseController: %v", err)
 	}
-	app, arch := sys.Application, sys.Architecture
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
+	solver, res := synthesizeOS(t, sys.Application, sys.Architecture)
 	var trace bytes.Buffer
-	if _, err := Simulate(app, arch, res.Config, res.Analysis, SimOptions{Cycles: 1, Trace: &trace}); err != nil {
+	if _, err := solver.Simulate(context.Background(), res.Config, res.Analysis, SimOptions{Cycles: 1, Trace: &trace}); err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
 	out := trace.String()

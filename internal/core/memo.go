@@ -106,52 +106,6 @@ func (m *Memo) Stats() MemoStats {
 	return m.stats
 }
 
-// Reset drops every cached stage result (the counters survive).
-func (m *Memo) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched = make(map[string]*tsched.Schedule)
-	m.rta = make(map[string]rtaMemoEntry)
-	m.shape = make(map[string][]rtaShapeEntry)
-	m.queue = make(map[string][]gateway.TTPResult)
-}
-
-// DropRTAResource evicts the cached fixed points and warm-start seeds
-// of one resource (a CPU's node id, or the CAN bus id = len(nodes)).
-// Eviction is a memory-management hint from the move-aware layer
-// (internal/delta); it can never change results because lookups are
-// exact.
-func (m *Memo) DropRTAResource(resource int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	prefix := string(binary.AppendVarint(nil, int64(resource)))
-	for k := range m.rta {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(m.rta, k)
-		}
-	}
-	for k := range m.shape {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(m.shape, k)
-		}
-	}
-}
-
-// DropSchedules evicts the static-schedule cache (slot moves change the
-// round, so every schedule key a stale round produced is dead weight).
-func (m *Memo) DropSchedules() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched = make(map[string]*tsched.Schedule)
-}
-
-// DropQueues evicts the OutTTP queue cache.
-func (m *Memo) DropQueues() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queue = make(map[string][]gateway.TTPResult)
-}
-
 // --- key encoding -----------------------------------------------------
 //
 // Keys are exact binary encodings of the stage inputs. Map-typed inputs
@@ -222,8 +176,8 @@ func sortEdgeIDs(ids []model.EdgeID) {
 
 // rtaKeys encodes one resource's task vector: the exact key (all
 // analysis inputs) and the J-blind shape key that indexes the
-// warm-start seeds. Both lead with the resource id so DropRTAResource
-// can evict by prefix.
+// warm-start seeds. Both lead with the resource id, which keeps each
+// resource's entries apart.
 func rtaKeys(resource int, tasks []rta.Task, horizon model.Time) (exact, shape string) {
 	b := make([]byte, 0, 16+24*len(tasks))
 	b = binary.AppendVarint(b, int64(resource))

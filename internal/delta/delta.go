@@ -15,10 +15,9 @@
 //     gateway OutTTP queue are each keyed by an exact encoding of their
 //     own inputs. A move that touches one cluster changes exactly that
 //     cluster's keys; every other resource's entries keep hitting.
-//     Stale reuse is impossible by construction — "invalidation" is
-//     implicit in the keying — and the move-aware Touched/Invalidate
-//     matrix (invalidate.go) exists to bound memory and document the
-//     coupling, never to decide correctness.
+//     Stale reuse is impossible by construction, so nothing is ever
+//     invalidated: exact keys plus whole-map clears on overflow bound
+//     the memory.
 //  3. Warm starts: RTA stage misses whose task set is identical to a
 //     cached one except for pointwise larger jitters start their
 //     first-pass fixed point from the parent's converged values
@@ -103,24 +102,6 @@ func (ev *Evaluator) Analyze(cfg *core.Config) (*core.Analysis, error) {
 	ev.configs[key] = a
 	ev.mu.Unlock()
 	return a, nil
-}
-
-// Evict removes one configuration from the full-configuration memo (its
-// stage-level inputs stay cached). Like all eviction here it is a
-// memory hint; a later Analyze of the same configuration recomputes the
-// identical result.
-func (ev *Evaluator) Evict(cfg *core.Config) {
-	ev.mu.Lock()
-	delete(ev.configs, ConfigKey(cfg))
-	ev.mu.Unlock()
-}
-
-// Reset drops the full-configuration memo and every stage cache.
-func (ev *Evaluator) Reset() {
-	ev.mu.Lock()
-	ev.configs = make(map[string]*core.Analysis)
-	ev.mu.Unlock()
-	ev.aopts.Memo.Reset()
 }
 
 // Stats reports the evaluator's cache traffic.

@@ -13,13 +13,12 @@ import (
 
 // FuzzDeltaInvalidation replays fuzzer-chosen move sequences on corpus
 // systems through one long-lived Evaluator and cross-checks every step
-// against a cold core.AnalyzeWith. The fuzz input drives four choices
-// per step — which generated move to take, whether to evict the
-// config, whether to run the stage invalidation hint, and whether to
-// drop everything — so the fuzzer explores exactly the cache states a
-// real optimizer run can reach (and some it can't). Any divergence
-// from the cold path, or a warm-start mismatch caught by rta.SelfCheck,
-// fails the target.
+// against a cold core.AnalyzeWith. The fuzz input picks the generated
+// move taken at each step, so the fuzzer explores the cache states a
+// real optimizer run reaches; the caches are exact-keyed and never
+// invalidated, so every stale entry stays in place to be (wrongly)
+// hit. Any divergence from the cold path, or a warm-start mismatch
+// caught by rta.SelfCheck, fails the target.
 func FuzzDeltaInvalidation(f *testing.F) {
 	f.Add(int64(0), []byte{0, 1, 2, 3})
 	f.Add(int64(1), []byte{7, 7, 7, 7, 7, 7})
@@ -54,8 +53,10 @@ func FuzzDeltaInvalidation(f *testing.F) {
 		}
 
 		steps := 0
-		for i := 0; i+1 < len(script) && steps < 12; i += 2 {
-			sel, flags := script[i], script[i+1]
+		for _, sel := range script {
+			if steps == 12 {
+				break
+			}
 			moves := opt.GenerateMoves(app, arch, cfg, a, opt.MoveBudget{Max: 16})
 			if len(moves) == 0 {
 				break
@@ -64,15 +65,6 @@ func FuzzDeltaInvalidation(f *testing.F) {
 			next, err := m.Apply(app, arch, cfg)
 			if err != nil {
 				continue // move impossible on this config: pick on
-			}
-			if flags&1 != 0 {
-				ev.Evict(next)
-			}
-			if flags&2 != 0 {
-				ev.Invalidate(m)
-			}
-			if flags&4 != 0 {
-				ev.Reset()
 			}
 			got, gotErr := ev.Analyze(next)
 			want, wantErr := core.Analyze(app, arch, next)
@@ -83,7 +75,7 @@ func FuzzDeltaInvalidation(f *testing.F) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d move %v (flags %#x): delta analysis diverges from cold", steps, m, flags)
+				t.Fatalf("step %d move %v: delta analysis diverges from cold", steps, m)
 			}
 			cfg, a = next, got
 			steps++

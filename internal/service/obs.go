@@ -200,32 +200,6 @@ func (s *Service) jobStarted(j *job) {
 	s.log.Debug("job started", "job", j.id, "kind", string(j.kind), "fingerprint", j.fingerprint)
 }
 
-// jobFinished marks a terminal transition: the trace closes (ending any
-// still-open spans), the per-kind job counters and latency histogram
-// record, and the outcome is logged with the job's identity attributes.
-func (s *Service) jobFinished(j *job, state JobState, errMsg string) {
-	j.trace.End()
-	var dur time.Duration
-	if !j.startedAt.IsZero() {
-		dur = s.clock.Now().Sub(j.startedAt)
-	}
-	if r := s.obsReg; r != nil {
-		r.Counter("mcs_jobs_total", "Terminal job transitions by kind and state.",
-			obs.L("kind", string(j.kind)), obs.L("state", string(state))).Inc()
-		if !j.startedAt.IsZero() {
-			s.obsHist("mcs_job_duration_seconds", "Running time of finished jobs.",
-				obs.L("kind", string(j.kind))).Observe(dur.Seconds())
-		}
-	}
-	log := s.log.Info
-	if state == StateFailed {
-		log = s.log.Warn
-	}
-	log("job finished",
-		"job", j.id, "kind", string(j.kind), "fingerprint", j.fingerprint,
-		"state", string(state), "duration", dur, "error", errMsg)
-}
-
 // obsHist is shorthand for a histogram lookup on the service registry
 // (nil instrument — a no-op — when metrics are off).
 func (s *Service) obsHist(name, help string, labels ...obs.Label) *obs.Histogram {

@@ -6,13 +6,19 @@ package service
 //
 //   - a submit is journaled before its 202 exists (enqueue), so every
 //     acknowledged job survives a crash;
-//   - a result is persisted before its finish record (finishJob), so a
-//     "done" record always has a loadable result — a crash between the
-//     two re-runs the job, which is merely wasteful;
+//   - every job ends in terminate, which commits before it publishes:
+//     the result is persisted before the finish record, so a "done"
+//     record always has a loadable result (a crash between the two
+//     re-runs the job, which is merely wasteful), and both are durable
+//     before Done, Subscribe or Status can report the job terminal;
+//   - compaction snapshots a job from its decided outcome, not its
+//     visible state, so a finish record journaled before the rewrite
+//     is never lost to it;
 //   - replayed unfinished jobs re-enter the queue ahead of new traffic
 //     with their original IDs, and re-running them is idempotent: the
 //     synthesis is deterministic and the persistent result cache
-//     short-circuits work that actually finished.
+//     short-circuits work that actually finished. Replayed terminal
+//     jobs are published as they are, without a second finish record.
 
 import (
 	"context"
@@ -59,14 +65,14 @@ func (s *Service) appendRecord(st store.Store, rec store.Record) error {
 
 // restore replays the journal into the in-memory job table and returns
 // the unfinished jobs to re-enqueue, in original submit order. It runs
-// inside New before the runners start, so it touches Service state
-// without locks.
+// inside New before the runners start.
 func (s *Service) restore() []*job {
 	if s.st == nil {
 		return nil
 	}
 	recs, _ := s.st.Replay()
 	var pending []*job
+	var failed []func()
 	for _, snap := range store.Reduce(recs) {
 		j := &job{
 			id:           snap.ID,
@@ -74,6 +80,7 @@ func (s *Service) restore() []*job {
 			strategyName: snap.Strategy,
 			fingerprint:  snap.Fingerprint,
 			key:          snap.Key,
+			state:        StateQueued,
 			subs:         make(map[chan ProgressEvent]struct{}),
 			done:         make(chan struct{}),
 		}
@@ -82,68 +89,56 @@ func (s *Service) restore() []*job {
 			s.nextID = seq // new IDs continue past every replayed one
 		}
 		s.replayed++
-		if snap.State == store.StateQueued {
-			if err := j.restoreRequest(snap.Request); err != nil {
-				// The journaled request no longer decodes: fail the job
-				// visibly instead of dropping it, and journal the
-				// resolution so the next restart agrees.
-				s.failRestored(j, err.Error())
-			} else {
-				j.state = StateQueued
-				pending = append(pending, j)
-				s.requeued++
-			}
-		} else {
-			s.finishRestored(j, snap)
-		}
 		s.jobs[j.id] = j
+		if snap.State != store.StateQueued {
+			// Terminal in the journal already: publish it as it is,
+			// without journaling the finish a second time.
+			j.final = s.restoredOutcome(snap)
+			j.settle()
+			s.retain(j.id)
+			continue
+		}
+		if err := j.restoreRequest(snap.Request); err != nil {
+			// The journaled request no longer decodes: fail the job
+			// visibly instead of dropping it, and journal the finish so
+			// the next restart agrees.
+			failed = append(failed, func() { s.terminate(j, StateQueued, nil, err) })
+			continue
+		}
+		pending = append(pending, j)
+		s.requeued++
 	}
-	for len(s.terminal) > s.opts.Retention {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
+	// terminate may compact the journal, so it runs only once the job
+	// table is complete.
+	for _, fail := range failed {
+		fail()
 	}
 	return pending
 }
 
-// finishRestored re-registers a terminal job from its snapshot: state
-// and error come from the journal, a done job's result loads from the
-// persistent result store under its request key.
-func (s *Service) finishRestored(j *job, snap *store.JobSnapshot) {
-	j.state = JobState(snap.State)
-	j.errMsg = snap.Error
-	if snap.State == store.StateDone && snap.Key != "" {
+// restoredOutcome rebuilds a terminal job's outcome from its snapshot:
+// state and error come from the journal, a done job's result loads from
+// the persistent result store under its request key.
+func (s *Service) restoredOutcome(snap *store.JobSnapshot) *outcome {
+	out := &outcome{state: JobState(snap.State), errMsg: snap.Error, recorded: true}
+	if snap.State != store.StateDone {
+		return out
+	}
+	if snap.Key != "" {
 		if data, ok := s.st.GetResult(snap.Key); ok {
 			if res, err := decodeStoredResult(data); err == nil {
-				j.result = res
+				out.result = res
 			}
 		}
 	}
-	if snap.State == store.StateDone && j.result == nil {
+	if out.result == nil {
 		// The finish record outlived its result (TTL expiry, or the
 		// results directory was lost separately). The job stays done —
 		// silently re-running would betray the recorded outcome — but
 		// the missing result is reported, not hidden.
-		j.errMsg = "store: persisted result expired or missing; resubmit to recompute"
+		out.errMsg = "store: persisted result expired or missing; resubmit to recompute"
 	}
-	close(j.done)
-	j.cancel(nil)
-	s.terminal = append(s.terminal, j.id)
-}
-
-// failRestored resolves a replayed job that cannot be re-run.
-func (s *Service) failRestored(j *job, msg string) {
-	j.state = StateFailed
-	j.errMsg = msg
-	close(j.done)
-	j.cancel(nil)
-	s.appendRecord(s.st, store.Record{
-		Op:    store.OpFinish,
-		Job:   j.id,
-		Key:   j.key,
-		State: store.StateFailed,
-		Error: msg,
-	})
-	s.terminal = append(s.terminal, j.id)
+	return out
 }
 
 // decodeStoredResult decodes canonical result bytes from the
@@ -223,12 +218,14 @@ func (s *Service) compact() {
 	}
 }
 
-// liveRecords snapshots the jobs the journal must remember: terminal
-// jobs as slim submit+finish pairs (their results live in the result
-// store), live jobs as full submits so a crash can still re-run them.
-// The store calls it after sealing the active segment, so transitions
-// journaled concurrently land in later segments and survive the rewrite
-// regardless of what this snapshot captures.
+// liveRecords snapshots the jobs the journal must remember: jobs whose
+// outcome is recorded as slim submit+finish pairs (their results live
+// in the result store), every other job as a full submit so a crash can
+// still re-run it. It reads the decided outcome, never the visible
+// state: a job between its finish record and its publish is already
+// finished here. The store calls it after sealing the active segment,
+// so transitions journaled concurrently land in later segments and
+// survive the rewrite regardless of what this snapshot captures.
 func (s *Service) liveRecords() []store.Record {
 	now := s.clock.Now().Unix()
 	s.mu.Lock()
@@ -240,7 +237,8 @@ func (s *Service) liveRecords() []store.Record {
 	recs := make([]store.Record, 0, 2*len(jobs))
 	for _, j := range jobs {
 		j.mu.Lock()
-		state, errMsg, raw := j.state, j.errMsg, j.rawReq
+		out, raw := j.final, j.rawReq
+		finished := out != nil && out.recorded
 		j.mu.Unlock()
 		sub := store.Record{
 			Op:          store.OpSubmit,
@@ -251,13 +249,13 @@ func (s *Service) liveRecords() []store.Record {
 			Strategy:    j.strategyName,
 			Unix:        now,
 		}
-		if state.Terminal() {
+		if finished {
 			recs = append(recs, sub, store.Record{
 				Op:    store.OpFinish,
 				Job:   j.id,
 				Key:   j.key,
-				State: string(state),
-				Error: errMsg,
+				State: string(out.state),
+				Error: out.errMsg,
 				Unix:  now,
 			})
 			continue

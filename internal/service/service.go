@@ -240,6 +240,24 @@ type job struct {
 	result   *JobResult
 	progress *ProgressEvent
 	done     chan struct{}
+	// final is the decided terminal outcome, set once by the claim in
+	// terminate. state, errMsg and result above are the visible copy,
+	// written only when the outcome is published.
+	final *outcome
+}
+
+// outcome is a job's decided terminal state. It stays private to the
+// service until its commit is durable, then terminate publishes it.
+type outcome struct {
+	state  JobState
+	errMsg string
+	result *JobResult
+	// recorded is set under j.mu once the result is persisted, just
+	// before the finish record is appended. From then on compaction
+	// snapshots the job as finished; before it, as a live full submit,
+	// so a crash re-runs the job rather than replaying a done job whose
+	// result was never written.
+	recorded bool
 }
 
 // Submit validates and enqueues an asynchronous synthesis job. The
@@ -359,7 +377,7 @@ func (s *Service) enqueue(j *job) (*SubmitResponse, error) {
 // run executes one job on a cached (or freshly built) Solver session.
 func (s *Service) run(j *job) {
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while queued
+	if j.final != nil { // canceled while queued
 		j.mu.Unlock()
 		return
 	}
@@ -387,7 +405,7 @@ func (s *Service) run(j *job) {
 				res.PersistentHit = true
 				acquire.SetAttr("source", "persistent")
 				acquire.End()
-				s.finishJob(j, &res, nil)
+				s.terminate(j, StateRunning, &res, nil)
 				return
 			}
 		}
@@ -399,7 +417,7 @@ func (s *Service) run(j *job) {
 	})
 	if err != nil {
 		acquire.End()
-		s.finishJob(j, nil, err)
+		s.terminate(j, StateRunning, nil, err)
 		return
 	}
 	if hit {
@@ -432,45 +450,127 @@ func (s *Service) run(j *job) {
 	}
 	tracker.close()
 	tracker.span.End()
-	s.finishJob(j, result, err)
+	s.terminate(j, StateRunning, result, err)
 }
 
-// finishJob records the terminal transition: the in-memory state flip,
-// the persisted result (full, non-partial outcomes only — a canceled
-// job's best-so-far is not byte-identical to a cold run and must never
-// be served as one), the journal finish record, and retirement. The
-// result is stored before the finish record so a crash between the two
-// replays the job as unfinished and re-runs (or persistent-hits) it,
-// instead of leaving a done job with no loadable result.
-func (s *Service) finishJob(j *job, result *JobResult, err error) {
-	j.finish(result, err)
-	j.mu.Lock()
-	state, errMsg, res := j.state, j.errMsg, j.result
-	j.mu.Unlock()
+// errCanceledQueued ends a job canceled before a runner claimed it.
+var errCanceledQueued = errors.New("canceled before running")
+
+// terminate is the one terminal transition of a job, whichever path
+// ends it: the run finished, failed or was canceled, a persistent-store
+// hit, a cancel while queued, or a replayed request that no longer
+// decodes. It claims the job only while the job is still in state from
+// and no one else has claimed it, and reports whether it did.
+//
+// It commits first: a full done result is persisted (a canceled job's
+// best-so-far is not byte-identical to a cold run and must never be
+// served as one), then the finish record is journaled, the trace
+// closes, and the terminal is counted and logged. The result is stored
+// before the finish record, so a crash between the two re-runs (or
+// persistent-hits) the job instead of leaving a done job with no
+// loadable result. It publishes last (settle), so an observer woken by
+// Done, a closed Subscribe channel or a terminal Status always finds
+// the commit complete. Retirement follows.
+func (s *Service) terminate(j *job, from JobState, result *JobResult, err error) bool {
+	out := j.claim(from, result, err)
+	if out == nil {
+		return false
+	}
 	if st := s.storeRef(); st != nil {
 		persist := j.trace.Root().Start("persist")
-		if state == StateDone && res != nil && !res.Partial && !res.PersistentHit && j.key != "" {
-			if blob, encErr := canonicalResult(res); encErr == nil {
-				if putErr := st.PutResult(j.key, blob); putErr != nil {
-					s.storeErrs.Add(1)
-					s.log.Warn("result persist failed", "job", j.id, "error", putErr)
-				}
-			} else {
+		if res := out.result; out.state == StateDone && res != nil && !res.Partial && !res.PersistentHit && j.key != "" {
+			if blob, encErr := canonicalResult(res); encErr != nil {
 				s.storeErrs.Add(1)
 				s.log.Warn("result encoding failed", "job", j.id, "error", encErr)
+			} else if putErr := st.PutResult(j.key, blob); putErr != nil {
+				s.storeErrs.Add(1)
+				s.log.Warn("result persist failed", "job", j.id, "error", putErr)
 			}
 		}
+		j.mu.Lock()
+		out.recorded = true
+		j.mu.Unlock()
 		s.appendRecord(st, store.Record{
 			Op:    store.OpFinish,
 			Job:   j.id,
 			Key:   j.key,
-			State: string(state),
-			Error: errMsg,
+			State: string(out.state),
+			Error: out.errMsg,
 		})
 		persist.End()
 	}
-	s.jobFinished(j, state, errMsg)
+
+	j.trace.End() // ends any still-open spans
+	var dur time.Duration
+	if !j.startedAt.IsZero() {
+		dur = s.clock.Now().Sub(j.startedAt)
+	}
+	if r := s.obsReg; r != nil {
+		r.Counter("mcs_jobs_total", "Terminal job transitions by kind and state.",
+			obs.L("kind", string(j.kind)), obs.L("state", string(out.state))).Inc()
+		if !j.startedAt.IsZero() {
+			s.obsHist("mcs_job_duration_seconds", "Running time of finished jobs.",
+				obs.L("kind", string(j.kind))).Observe(dur.Seconds())
+		}
+	}
+	log := s.log.Info
+	if out.state == StateFailed {
+		log = s.log.Warn
+	}
+	log("job finished",
+		"job", j.id, "kind", string(j.kind), "fingerprint", j.fingerprint,
+		"state", string(out.state), "duration", dur, "error", out.errMsg)
+
+	j.settle()
 	s.retire(j)
+	return true
+}
+
+// claim decides the job's outcome under j.mu. Exactly one caller gets
+// it, and only while the job is still in state from: the runner claims
+// from running, Cancel and replay from queued. A non-nil result
+// arriving with an error is a best-so-far outcome and is marked
+// Partial.
+func (j *job) claim(from JobState, result *JobResult, err error) *outcome {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.final != nil || j.state != from {
+		return nil
+	}
+	out := &outcome{result: result}
+	if result != nil {
+		result.Partial = err != nil
+	}
+	switch {
+	case err == nil:
+		out.state = StateDone
+	case errors.Is(err, context.Canceled) || errors.Is(err, errCanceledQueued):
+		// Only genuine cancellations (client cancel or drain) land
+		// here; a real failure racing the drain deadline stays failed.
+		out.state = StateCanceled
+		out.errMsg = cancelMessage(j.ctx, err)
+	default:
+		out.state = StateFailed
+		out.errMsg = err.Error()
+	}
+	j.final = out
+	return out
+}
+
+// settle publishes the decided outcome: the visible state, result and
+// error flip, every subscriber channel and done close, and the job
+// context is released. It is the only place any of them happens.
+func (j *job) settle() {
+	j.mu.Lock()
+	out := j.final
+	j.state, j.errMsg, j.result = out.state, out.errMsg, out.result
+	for ch := range j.subs {
+		close(ch)
+	}
+	j.subs = nil
+	close(j.done)
+	j.mu.Unlock()
+	j.cancel(nil)
 }
 
 // canonicalResult encodes a result for the persistent store with the
@@ -522,25 +622,31 @@ func exploreResult(res *dse.Result, err error, cacheHit bool) (*JobResult, error
 
 // retire frees a terminal job's request payload (the decoded system is
 // the bulk of its footprint; the Solver cache keeps its own reference)
-// and evicts the oldest-finished jobs beyond the retention bound. With
-// a store, it also triggers journal compaction once the segment count
-// reaches its bound, so the journal footprint tracks live state rather
-// than traffic history.
+// and applies the retention bound. With a store, it also triggers
+// journal compaction once the segment count reaches its bound, so the
+// journal footprint tracks live state rather than traffic history.
 func (s *Service) retire(j *job) {
 	j.mu.Lock()
 	j.req = SynthesisRequest{}
 	j.exploreReq = ExploreRequest{}
 	j.rawReq = nil // terminal jobs compact to slim records; the payload is dead weight
 	j.mu.Unlock()
+	s.retain(j.id)
+	if st := s.storeRef(); st != nil && st.Stats().Segments >= compactAtSegments {
+		s.compact()
+	}
+}
+
+// retain records a terminal job and forgets the oldest-finished jobs
+// beyond the retention bound. Live terminations and journal replay
+// share it.
+func (s *Service) retain(id string) {
 	s.mu.Lock()
-	s.terminal = append(s.terminal, j.id)
+	defer s.mu.Unlock()
+	s.terminal = append(s.terminal, id)
 	for len(s.terminal) > s.opts.Retention {
 		delete(s.jobs, s.terminal[0])
 		s.terminal = s.terminal[1:]
-	}
-	s.mu.Unlock()
-	if st := s.storeRef(); st != nil && st.Stats().Segments >= compactAtSegments {
-		s.compact()
 	}
 }
 
@@ -562,7 +668,7 @@ func (j *job) publish(p solve.Progress) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.final != nil {
 		return
 	}
 	ev.Seq = len(j.events) + 1
@@ -576,39 +682,6 @@ func (j *job) publish(p solve.Progress) {
 			j.sseDropped.Inc() // the subscriber sees the gap via Seq
 		}
 	}
-}
-
-// finish records the terminal state of a job and releases its
-// subscribers and context. A non-nil result arriving with an error is
-// a best-so-far outcome and is marked Partial.
-func (j *job) finish(result *JobResult, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	if result != nil {
-		result.Partial = err != nil
-		j.result = result
-	}
-	switch {
-	case err == nil:
-		j.state = StateDone
-	case errors.Is(err, context.Canceled):
-		// Only genuine cancellations (client cancel or drain) land
-		// here; a real failure racing the drain deadline stays failed.
-		j.state = StateCanceled
-		j.errMsg = cancelMessage(j.ctx, err)
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	}
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = make(map[chan ProgressEvent]struct{})
-	close(j.done)
-	j.cancel(nil)
 }
 
 // cancelMessage prefers the cancellation cause (client cancel vs drain)
@@ -697,35 +770,15 @@ func (s *Service) Cancel(id string) error {
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateCanceled
-		j.errMsg = "canceled before running"
-		for ch := range j.subs {
-			close(ch)
-		}
-		j.subs = make(map[chan ProgressEvent]struct{})
-		close(j.done)
-		j.mu.Unlock()
-		j.cancel(nil)
-		// Queued jobs never reach finishJob (the runner skips terminal
-		// jobs), so journal the resolution and retire here.
-		if st := s.storeRef(); st != nil {
-			s.appendRecord(st, store.Record{
-				Op:    store.OpFinish,
-				Job:   j.id,
-				Key:   j.key,
-				State: store.StateCanceled,
-				Error: j.errMsg,
-			})
-		}
-		s.jobFinished(j, StateCanceled, "canceled before running")
-		s.retire(j)
+	// The queued claim fails once a runner has started the job; the
+	// running path below takes over then.
+	if s.terminate(j, StateQueued, nil, errCanceledQueued) {
 		return nil
 	}
-	terminal := j.state.Terminal()
+	j.mu.Lock()
+	decided := j.final != nil
 	j.mu.Unlock()
-	if !terminal {
+	if !decided {
 		// Journal the cancellation intent before delivering it: if the
 		// process dies before the job winds down, replay resolves the
 		// job to canceled instead of re-running work nobody wants.
@@ -841,9 +894,9 @@ func (s *Service) cancelJobs(cause error) {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.mu.Lock()
-		terminal := j.state.Terminal()
+		decided := j.final != nil
 		j.mu.Unlock()
-		if !terminal {
+		if !decided {
 			j.cancel(cause)
 		}
 	}

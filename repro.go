@@ -20,8 +20,7 @@
 //	fmt.Println(res.Analysis.Schedulable, res.Analysis.Buffers.Total)
 //
 // The pre-Solver free functions (Analyze, AnalyzeAll, Synthesize,
-// Simulate) remain as thin deprecated wrappers; see solver.go and
-// docs/ARCHITECTURE.md for the migration table.
+// Simulate) are gone; README.md maps each onto its Solver method.
 //
 // For serving workloads the same operations are exposed over a
 // wire-format job API: NewService fronts cached Solver sessions with a
@@ -35,7 +34,6 @@
 package repro
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/core"
@@ -43,7 +41,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/solve"
 )
@@ -136,42 +133,9 @@ func LoadConfig(r io.Reader, app *Application, arch *Architecture) (*Config, err
 	return core.LoadConfig(r, app, arch)
 }
 
-// Analyze runs the MultiClusterScheduling fixed point (Fig. 5 of the
-// paper) for one configuration: static TTC schedule, ETC response
-// times, gateway queuing delays and buffer bounds.
-//
-// Deprecated: use Solver.Analyze, which is context-aware and shares
-// the session's derived state across calls. This wrapper remains for
-// one-shot use and existing callers.
-func Analyze(app *Application, arch *Architecture, cfg *Config) (*Analysis, error) {
-	return core.Analyze(app, arch, cfg)
-}
-
 // Evaluation couples one candidate configuration with its analysis (or
-// the analysis error) in an AnalyzeAll batch.
+// the analysis error) in a Solver.AnalyzeAll batch.
 type Evaluation = engine.Evaluation
-
-// AnalyzeAll analyzes a batch of independent candidate configurations
-// across a bounded worker pool and returns one evaluation per
-// configuration, in input order (identical to analyzing them serially).
-// workers <= 0 selects runtime.NumCPU(); per-configuration failures are
-// captured in Evaluation.Err rather than failing the batch. The context
-// cancels the remaining work.
-//
-// Deprecated: use Solver.AnalyzeAll, which reuses the session's shared
-// pool instead of building one per call.
-func AnalyzeAll(ctx context.Context, app *Application, arch *Architecture, cfgs []*Config, workers int) ([]Evaluation, error) {
-	return engine.EvaluateAll(ctx, engine.New(workers), app, arch, cfgs)
-}
-
-// Simulate executes the configured system in the discrete-event
-// simulator and reports observed response times, queue peaks and any
-// platform-invariant violations.
-//
-// Deprecated: use Solver.Simulate, which is context-aware.
-func Simulate(app *Application, arch *Architecture, cfg *Config, a *Analysis, opts SimOptions) (*SimResult, error) {
-	return sim.Run(app, arch, cfg, a, opts)
-}
 
 // Strategy selects a synthesis algorithm.
 type Strategy = solve.Strategy
@@ -202,56 +166,5 @@ func Strategies() []Strategy { return solve.Strategies() }
 // Strategy.String for every strategy.
 func ParseStrategy(name string) (Strategy, error) { return solve.ParseStrategy(name) }
 
-// SynthesisOptions tunes the deprecated Synthesize wrapper. New code
-// passes the equivalent functional options to NewSolver.
-type SynthesisOptions struct {
-	Strategy Strategy
-	// SAIterations bounds the annealing strategies (default 300).
-	SAIterations int
-	// Seed drives the randomized parts (default 1).
-	Seed int64
-	// OR tunes OptimizeResources (used by StrategyOptimizeResources).
-	OR opt.OROptions
-	// Workers bounds the concurrent evaluations of the internal engine
-	// pool (default 1 = serial; mcs-synth passes runtime.NumCPU()). The
-	// synthesized configuration is identical for every value.
-	Workers int
-	// SARestarts is the number of independent annealing chains for the
-	// SAS/SAR strategies (default 1); chains run across the worker pool
-	// and the best-ever solution wins.
-	SARestarts int
-}
-
-// solverOptions converts the legacy struct to functional options; all
-// defaulting and nested forwarding happens in NewSolver.
-func (o SynthesisOptions) solverOptions() []Option {
-	return []Option{
-		WithStrategy(o.Strategy),
-		WithSeed(o.Seed),
-		WithSAIterations(o.SAIterations),
-		WithSARestarts(o.SARestarts),
-		WithWorkers(o.Workers),
-		WithOROptions(o.OR),
-	}
-}
-
 // SynthesisResult couples the chosen configuration with its analysis.
 type SynthesisResult = solve.Result
-
-// Synthesize finds a system configuration with the selected strategy.
-//
-// Deprecated: use NewSolver and Solver.Synthesize, which add
-// cancellation, progress streaming and cross-call caching. This
-// wrapper builds a one-shot Solver, so its results are bit-identical
-// to the session API's. One deliberate behavioral change from the
-// pre-Solver facade: Seed now feeds every randomized path, so an
-// explicit non-default Seed also seeds the OptimizeResources
-// neighbourhood rng (which previously stayed at its internal default
-// of 1 unless OR.RandSeed was set); default-seed runs are unchanged.
-func Synthesize(app *Application, arch *Architecture, opts SynthesisOptions) (*SynthesisResult, error) {
-	solver, err := NewSolver(app, arch, opts.solverOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return solver.Synthesize(context.Background())
-}

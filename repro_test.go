@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -12,9 +11,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	res, err := Synthesize(sys.Application, sys.Architecture, SynthesisOptions{
-		Strategy: StrategyOptimizeSchedule,
-	})
+	ctx := context.Background()
+	solver, err := NewSolver(sys.Application, sys.Architecture, WithStrategy(StrategyOptimizeSchedule))
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	res, err := solver.Synthesize(ctx)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
@@ -24,7 +26,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if !res.Analysis.Schedulable {
 		t.Skipf("seed 4 not schedulable by OS (delta=%d)", res.Analysis.Delta)
 	}
-	simRes, err := Simulate(sys.Application, sys.Architecture, res.Config, res.Analysis, SimOptions{Cycles: 2})
+	simRes, err := solver.Simulate(ctx, res.Config, res.Analysis, SimOptions{Cycles: 2})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -41,16 +43,21 @@ func TestFacadeStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
+	ctx := context.Background()
+	solver, err := NewSolver(sys.Application, sys.Architecture, WithSAIterations(30))
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
 	for _, s := range []Strategy{StrategyStraightforward, StrategyOptimizeSchedule, StrategySAS, StrategySAR} {
-		res, err := Synthesize(sys.Application, sys.Architecture, SynthesisOptions{Strategy: s, SAIterations: 30})
+		res, err := solver.SynthesizeWith(ctx, s)
 		if err != nil {
-			t.Fatalf("Synthesize(%v): %v", s, err)
+			t.Fatalf("SynthesizeWith(%v): %v", s, err)
 		}
 		if res.Analysis == nil {
 			t.Errorf("%v: no analysis", s)
 		}
 	}
-	if _, err := Synthesize(sys.Application, sys.Architecture, SynthesisOptions{Strategy: Strategy(99)}); err == nil {
+	if _, err := solver.SynthesizeWith(ctx, Strategy(99)); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -80,35 +87,6 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if Strategy(42).String() == "" {
 		t.Error("empty name for out-of-range strategy")
-	}
-}
-
-// TestSolverMatchesDeprecatedSynthesize pins the compatibility contract
-// of the deprecated wrapper: for every strategy, the one-shot free
-// function and a reused Solver session return bit-identical results.
-func TestSolverMatchesDeprecatedSynthesize(t *testing.T) {
-	sys, err := Generate(GenSpec{Seed: 2, TTNodes: 1, ETNodes: 1, ProcsPerNode: 6, ProcsPerGraph: 6})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	app, arch := sys.Application, sys.Architecture
-	solver, err := NewSolver(app, arch, WithSAIterations(30))
-	if err != nil {
-		t.Fatalf("NewSolver: %v", err)
-	}
-	ctx := context.Background()
-	for _, s := range Strategies() {
-		want, err := Synthesize(app, arch, SynthesisOptions{Strategy: s, SAIterations: 30})
-		if err != nil {
-			t.Fatalf("Synthesize(%v): %v", s, err)
-		}
-		got, err := solver.SynthesizeWith(ctx, s)
-		if err != nil {
-			t.Fatalf("Solver.SynthesizeWith(%v): %v", s, err)
-		}
-		if !reflect.DeepEqual(got.Config, want.Config) || got.Evaluations != want.Evaluations {
-			t.Errorf("%v: Solver result differs from the deprecated wrapper", s)
-		}
 	}
 }
 
@@ -162,7 +140,11 @@ func TestFacadeCruiseAndIO(t *testing.T) {
 	if err := cfg.Normalize(loaded.Application); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	if _, err := Analyze(loaded.Application, loaded.Architecture, cfg); err != nil {
+	solver, err := NewSolver(loaded.Application, loaded.Architecture)
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	if _, err := solver.Analyze(context.Background(), cfg); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 }
@@ -180,7 +162,11 @@ func TestFacadeBuilderFlow(t *testing.T) {
 	if err := app.Finalize(arch); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
+	solver, err := NewSolver(app, arch, WithStrategy(StrategyOptimizeSchedule))
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	res, err := solver.Synthesize(context.Background())
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}

@@ -70,7 +70,11 @@ func TestServiceFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := repro.Analyze(sys.Application, sys.Architecture, cfg)
+	solver, err := repro.NewSolver(sys.Application, sys.Architecture, repro.WithDelta(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := solver.Analyze(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
