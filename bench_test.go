@@ -110,7 +110,7 @@ func BenchmarkCruiseSynthesis(b *testing.B) {
 }
 
 // benchSystem caches one generated application per size class.
-func benchSystem(b *testing.B, nodes int) (*Application, *Architecture) {
+func benchSystem(b testing.TB, nodes int) (*Application, *Architecture) {
 	b.Helper()
 	sys, err := Generate(GenSpec{Seed: 1, TTNodes: nodes / 2, ETNodes: nodes / 2})
 	if err != nil {
@@ -125,17 +125,7 @@ func BenchmarkAnalyze80(b *testing.B)  { benchAnalyze(b, 2) }
 func BenchmarkAnalyze160(b *testing.B) { benchAnalyze(b, 4) }
 
 func benchAnalyze(b *testing.B, nodes int) {
-	app, arch := benchSystem(b, nodes)
-	cfg := DefaultConfig(app, arch)
-	if err := cfg.Normalize(app); err != nil {
-		b.Fatal(err)
-	}
-	// Delta evaluation off: every iteration is a full cold analysis,
-	// not a config-memo hit.
-	solver, err := NewSolver(app, arch, WithDelta(false))
-	if err != nil {
-		b.Fatal(err)
-	}
+	solver, cfg := analyzeSetup(b, nodes)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +133,53 @@ func benchAnalyze(b *testing.B, nodes int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// analyzeSetup returns the benchmark system's normalized default
+// configuration and a Solver with delta evaluation off, so every
+// analysis is a full cold one, not a config-memo hit.
+func analyzeSetup(tb testing.TB, nodes int) (*Solver, *Config) {
+	tb.Helper()
+	app, arch := benchSystem(tb, nodes)
+	cfg := DefaultConfig(app, arch)
+	if err := cfg.Normalize(app); err != nil {
+		tb.Fatal(err)
+	}
+	solver, err := NewSolver(app, arch, WithDelta(false))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return solver, cfg
+}
+
+// maxAnalyzeAllocs bounds the allocations of one BenchmarkAnalyze160
+// analysis: a tenth of the 22 754 it took while the analysis rebuilt
+// its interference index on every fixed-point call.
+const maxAnalyzeAllocs = 2275
+
+// TestAnalyzeAllocs pins the allocation count of the analysis core on
+// the BenchmarkAnalyze160 system. Allocation counts are deterministic,
+// so the bound is exact; the race detector allocates on its own, so the
+// test only runs without it.
+func TestAnalyzeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	solver, cfg := analyzeSetup(t, 4)
+	ctx := context.Background()
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, aerr := solver.Analyze(ctx, cfg); aerr != nil {
+			err = aerr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > maxAnalyzeAllocs {
+		t.Fatalf("%.0f allocations per analysis, want <= %d", allocs, maxAnalyzeAllocs)
+	}
+	t.Logf("%.0f allocations per analysis (bound %d)", allocs, maxAnalyzeAllocs)
 }
 
 // BenchmarkOptimizeSchedule measures the OS heuristic (E5, heuristic

@@ -111,6 +111,11 @@ type AnalyzeOptions struct {
 	// implementation. One Memo must only ever see one (app, arch) pair
 	// and one OffsetBlind setting — internal/delta enforces this.
 	Memo *Memo
+	// SelfCheck recomputes every warm-started RTA fixed point from its
+	// cold start and panics on a mismatch (rta.Options.SelfCheck). Tests
+	// of the incremental evaluator enable it; it costs the warm starts'
+	// savings.
+	SelfCheck bool
 }
 
 // Analyze runs MultiClusterScheduling (Fig. 5): starting from a static
@@ -144,6 +149,11 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 		return nil, errRoundNotNormalized(cfg.Round.Period(), hyper)
 	}
 	horizon := hyper * horizonFactor
+	// Cyclic graphs fail here with the error tsched.Build would return.
+	tasks, err := newETTaskSet(app, arch, cfg, aopts.OffsetBlind)
+	if err != nil {
+		return nil, err
+	}
 
 	release := make(map[model.ProcID]model.Time)
 	var (
@@ -168,7 +178,7 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 		if err != nil {
 			return nil, err
 		}
-		state = analyzeET(app, arch, cfg, sched, horizon, aopts)
+		state = analyzeET(app, arch, cfg, sched, tasks, horizon, aopts)
 		changed := false
 		for _, e := range app.Edges {
 			if state.edge[e.ID].Route != model.RouteETtoTT {
@@ -244,29 +254,97 @@ func (a *Analysis) finishMetrics(app *model.Application, arch *model.Architectur
 	a.Buffers = computeBuffers(app, arch, cfg, state)
 }
 
+// etTaskSet is the ET side of one configuration as an RTA task set: one
+// task per ET process (resource: its node) and per CAN leg (resource:
+// the bus), in (resource, priority) order (rta.PriorityOrder) with the
+// non-preemptive blocking factors filled in, plus the topological
+// process order the holistic traversal follows. Everything except the
+// offsets and jitters is fixed by the configuration, so AnalyzeWith
+// builds the set once and each holistic iteration refreshes O and J in
+// place.
+type etTaskSet struct {
+	tasks []rta.Task
+	refs  []etTaskRef
+	order []model.ProcID
+}
+
+// etTaskRef names the process or the CAN leg behind one task.
+type etTaskRef struct {
+	proc model.ProcID
+	edge model.EdgeID
+	msg  bool // edge is set, proc is not
+}
+
+func newETTaskSet(app *model.Application, arch *model.Architecture, cfg *Config, offsetBlind bool) (*etTaskSet, error) {
+	order, err := app.TopoOrderAll()
+	if err != nil {
+		return nil, err
+	}
+	canBus := len(arch.Nodes) // resource id for the CAN bus
+	var (
+		tasks []rta.Task
+		refs  []etTaskRef
+	)
+	for _, p := range app.Procs {
+		if arch.Kind(p.Node) != model.EventTriggered {
+			continue
+		}
+		tasks = append(tasks, rta.Task{
+			Name: p.Name, Resource: int(p.Node), Priority: cfg.ProcPriority[p.ID],
+			C: p.WCET, T: app.PeriodOf(p.ID), Trans: transOf(p.Graph, offsetBlind),
+		})
+		refs = append(refs, etTaskRef{proc: p.ID})
+	}
+	for _, e := range app.Edges {
+		if !app.RouteOf(e.ID, arch).UsesCAN() {
+			continue
+		}
+		tasks = append(tasks, rta.Task{
+			Name: e.Name, Resource: canBus, Priority: cfg.MsgPriority[e.ID],
+			C: canTimeOf(app, arch, e.ID), T: app.EdgePeriod(e.ID),
+			Trans: transOf(e.Graph, offsetBlind), NonPreemptive: true,
+		})
+		refs = append(refs, etTaskRef{edge: e.ID, msg: true})
+	}
+	ts := &etTaskSet{tasks: make([]rta.Task, len(tasks)), refs: make([]etTaskRef, len(refs)), order: order}
+	for k, i := range rta.PriorityOrder(tasks) {
+		ts.tasks[k], ts.refs[k] = tasks[i], refs[i]
+	}
+	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.
+	for i, b := range rta.Blocking(ts.tasks) {
+		if ts.tasks[i].NonPreemptive {
+			ts.tasks[i].B = b
+		}
+	}
+	return ts, nil
+}
+
 // etState is the mutable state of the holistic ET-side analysis.
 type etState struct {
 	proc        map[model.ProcID]ProcResult
 	edge        map[model.EdgeID]EdgeResult
+	tasks       *etTaskSet
 	converged   bool
 	offsetBlind bool
+	selfCheck   bool
 	memo        *Memo
 }
 
 // analyzeET runs the holistic inner loop: offsets are fixed by the
 // static schedule and the graph structure; jitters propagate along the
 // graphs and grow monotonically until the response times stabilize.
-func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sched *tsched.Schedule, horizon model.Time, aopts AnalyzeOptions) *etState {
+func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sched *tsched.Schedule, tasks *etTaskSet, horizon model.Time, aopts AnalyzeOptions) *etState {
 	st := &etState{
 		proc:        make(map[model.ProcID]ProcResult, len(app.Procs)),
 		edge:        make(map[model.EdgeID]EdgeResult, len(app.Edges)),
+		tasks:       tasks,
 		converged:   true,
 		offsetBlind: aopts.OffsetBlind,
+		selfCheck:   aopts.SelfCheck,
 		memo:        aopts.Memo,
 	}
 	rT := arch.GatewayCost
 	poll := arch.GatewayPoll
-	canBus := len(arch.Nodes) // resource id for the CAN bus
 
 	// Static facts: TT process results and TTP-leg arrivals.
 	for _, p := range app.Procs {
@@ -293,18 +371,11 @@ func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sc
 		st.edge[e.ID] = er
 	}
 
-	order, err := app.TopoOrderAll()
-	if err != nil {
-		// Validated applications cannot get here.
-		st.converged = false
-		return st
-	}
-
 	// Holistic loop: traverse graphs to refresh O/J from current
 	// responses, then run the per-resource fixed points.
 	for it := 0; it < maxHolisticIterations; it++ {
-		st.traverse(app, arch, cfg, sched, order, rT, poll)
-		changed := st.runRTA(app, arch, cfg, canBus, horizon)
+		st.traverse(app, arch, cfg, sched, tasks.order, rT, poll)
+		changed := st.runRTA(horizon)
 		changed = st.runQueue(app, arch, cfg, rT, horizon) || changed
 		if !changed {
 			return st
@@ -384,76 +455,52 @@ func canTimeOf(app *model.Application, arch *model.Architecture, e model.EdgeID)
 	return can.TimeOf(&app.Edges[e], arch.CAN)
 }
 
-// runRTA builds the task set (ET processes per CPU, CAN legs on the
-// bus) and runs the fixed points. It returns whether any W or R changed.
-func (st *etState) runRTA(app *model.Application, arch *model.Architecture, cfg *Config, canBus int, horizon model.Time) bool {
-	var tasks []rta.Task
-	type ref struct {
-		proc model.ProcID
-		edge model.EdgeID
-		kind int // 0 = proc, 1 = edge CAN leg
-	}
-	var refs []ref
-	for _, p := range app.Procs {
-		if arch.Kind(p.Node) != model.EventTriggered {
-			continue
-		}
-		pr := st.proc[p.ID]
-		tasks = append(tasks, rta.Task{
-			Name: p.Name, Resource: int(p.Node), Priority: cfg.ProcPriority[p.ID],
-			C: p.WCET, T: app.PeriodOf(p.ID), O: pr.O, J: pr.J, Trans: st.trans(p.Graph),
-		})
-		refs = append(refs, ref{proc: p.ID, kind: 0})
-	}
-	for _, e := range app.Edges {
-		er := st.edge[e.ID]
-		if !er.Route.UsesCAN() {
-			continue
-		}
-		tasks = append(tasks, rta.Task{
-			Name: e.Name, Resource: canBus, Priority: cfg.MsgPriority[e.ID],
-			C: canTimeOf(app, arch, e.ID), T: app.EdgePeriod(e.ID),
-			O: er.CANO, J: er.CANJ, Trans: st.trans(e.Graph), NonPreemptive: true,
-		})
-		refs = append(refs, ref{edge: e.ID, kind: 1})
-	}
+// runRTA refreshes the offsets and jitters of the task set from the
+// current state and runs the fixed points. It returns whether any W or
+// R changed.
+func (st *etState) runRTA(horizon model.Time) bool {
+	tasks, refs := st.tasks.tasks, st.tasks.refs
 	if len(tasks) == 0 {
 		return false
 	}
-	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.
-	for i := range tasks {
-		if tasks[i].NonPreemptive {
-			tasks[i].B = rta.MaxLowerC(tasks, i)
+	for k, ref := range refs {
+		if ref.msg {
+			er := st.edge[ref.edge]
+			tasks[k].O, tasks[k].J = er.CANO, er.CANJ
+		} else {
+			pr := st.proc[ref.proc]
+			tasks[k].O, tasks[k].J = pr.O, pr.J
 		}
 	}
 	var (
 		res []rta.Result
 		err error
 	)
+	opt := rta.Options{Horizon: horizon, SelfCheck: st.selfCheck}
 	if st.memo != nil {
 		// Per-resource memoized path: bit-identical to the monolithic
 		// call because interference never crosses resources and the memo
 		// reapplies the all-unconverged marking of an exhausted pass
 		// budget globally (see Memo.analyzeRTA).
-		res, _, err = st.memo.analyzeRTA(tasks, horizon)
+		res, _, err = st.memo.analyzeRTA(tasks, opt)
 	} else {
-		res, err = rta.Analyze(tasks, rta.Options{Horizon: horizon})
+		res, err = rta.Analyze(tasks, opt)
 	}
 	if err != nil {
 		st.converged = false
 		return false
 	}
 	changed := false
-	for i, r := range res {
-		if refs[i].kind == 0 {
-			pr := st.proc[refs[i].proc]
+	for k, r := range res {
+		if !refs[k].msg {
+			pr := st.proc[refs[k].proc]
 			if pr.W != r.W || pr.R != r.R {
 				changed = true
 			}
 			pr.W, pr.R, pr.Converged = r.W, r.R, r.Converged
-			st.proc[refs[i].proc] = pr
+			st.proc[refs[k].proc] = pr
 		} else {
-			er := st.edge[refs[i].edge]
+			er := st.edge[refs[k].edge]
 			if er.CANW != r.W || er.CANR != r.R {
 				changed = true
 			}
@@ -462,7 +509,7 @@ func (st *etState) runRTA(app *model.Application, arch *model.Architecture, cfg 
 			if er.Route == model.RouteCAN || er.Route == model.RouteTTtoET {
 				er.Delivery = er.CANO + er.CANR
 			}
-			st.edge[refs[i].edge] = er
+			st.edge[refs[k].edge] = er
 		}
 	}
 	return changed
@@ -509,10 +556,10 @@ func (st *etState) runQueue(app *model.Application, arch *model.Architecture, cf
 	return changed
 }
 
-// trans maps a graph index to the transaction id used by the analysis:
-// -1 (pairwise unrelated) in offset-blind mode.
-func (st *etState) trans(graph int) int {
-	if st.offsetBlind {
+// transOf maps a graph index to the transaction id used by the
+// analysis: -1 (pairwise unrelated) in offset-blind mode.
+func transOf(graph int, offsetBlind bool) int {
+	if offsetBlind {
 		return -1
 	}
 	return graph
@@ -530,7 +577,7 @@ func (st *etState) outTTPMsgs(app *model.Application, arch *model.Architecture, 
 		msgs = append(msgs, gateway.QueueMsg{
 			Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
 			O: er.CANO, J: er.QueueJ,
-			Priority: cfg.MsgPriority[e.ID], Trans: st.trans(e.Graph),
+			Priority: cfg.MsgPriority[e.ID], Trans: transOf(e.Graph, st.offsetBlind),
 		})
 		ids = append(ids, e.ID)
 	}
@@ -556,7 +603,7 @@ func computeBuffers(app *model.Application, arch *model.Architecture, cfg *Confi
 		qm := gateway.CANQueueMsg{
 			QueueMsg: gateway.QueueMsg{
 				Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
-				O: er.CANO, J: er.CANJ, Priority: cfg.MsgPriority[e.ID], Trans: st.trans(e.Graph),
+				O: er.CANO, J: er.CANJ, Priority: cfg.MsgPriority[e.ID], Trans: transOf(e.Graph, st.offsetBlind),
 			},
 			W: er.CANW,
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"repro/internal/gateway"
@@ -258,42 +259,37 @@ func (m *Memo) buildSchedule(in tsched.Input) (*tsched.Schedule, error) {
 }
 
 // analyzeRTA serves the response-time analysis through the per-resource
-// cache. tasks must already carry their blocking factors; the returned
-// slice is parallel to tasks and freshly allocated (callers may mark it
-// unconverged in place). The bool result mirrors rta.AnalyzeStable's
-// stability: false when any resource exhausted the pass budget, which
-// the caller must translate into the all-unconverged marking exactly
-// like the monolithic rta.Analyze would.
-func (m *Memo) analyzeRTA(tasks []rta.Task, horizon model.Time) ([]rta.Result, bool, error) {
-	// Group by resource, preserving in-group order. The group walk is in
-	// first-appearance order, deterministic.
-	order := make([]int, 0, 4)
-	groups := make(map[int][]int)
-	for i := range tasks {
-		r := tasks[i].Resource
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], i)
-	}
+// cache. tasks must already carry their blocking factors and must come
+// in (resource, priority) order, as etTaskSet builds them: each resource
+// is then one contiguous run, served as a subslice without grouping or
+// copying. Input whose resources are not ascending is rejected. The
+// returned slice is parallel to tasks and freshly allocated (callers may
+// mark it unconverged in place). The bool result mirrors
+// rta.AnalyzeStable's stability: false when any resource exhausted the
+// pass budget, which the caller must translate into the
+// all-unconverged marking exactly like the monolithic rta.Analyze
+// would. opt.Pass1Warm is ignored; the memo chooses the warm starts.
+func (m *Memo) analyzeRTA(tasks []rta.Task, opt rta.Options) ([]rta.Result, bool, error) {
 	out := make([]rta.Result, len(tasks))
 	stable := true
-	for _, r := range order {
-		idx := groups[r]
-		group := make([]rta.Task, len(idx))
-		for k, i := range idx {
-			group[k] = tasks[i]
+	for lo := 0; lo < len(tasks); {
+		r := tasks[lo].Resource
+		hi := lo + 1
+		for hi < len(tasks) && tasks[hi].Resource == r {
+			hi++
 		}
-		res, ok, err := m.analyzeResource(r, group, horizon)
+		if hi < len(tasks) && tasks[hi].Resource < r {
+			return nil, false, fmt.Errorf("core: RTA tasks not grouped by ascending resource (%d after %d)", tasks[hi].Resource, r)
+		}
+		res, ok, err := m.analyzeResource(r, tasks[lo:hi], opt)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			stable = false
 		}
-		for k, i := range idx {
-			out[i] = res[k]
-		}
+		copy(out[lo:hi], res)
+		lo = hi
 	}
 	if !stable {
 		for i := range out {
@@ -304,8 +300,8 @@ func (m *Memo) analyzeRTA(tasks []rta.Task, horizon model.Time) ([]rta.Result, b
 }
 
 // analyzeResource runs (or recalls) one resource's fixed point.
-func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Time) ([]rta.Result, bool, error) {
-	exact, shape := rtaKeys(resource, group, horizon)
+func (m *Memo) analyzeResource(resource int, group []rta.Task, opt rta.Options) ([]rta.Result, bool, error) {
+	exact, shape := rtaKeys(resource, group, opt.Horizon)
 	m.mu.Lock()
 	if e, ok := m.rta[exact]; ok {
 		m.stats.RTAHits++
@@ -333,7 +329,8 @@ func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Tim
 	}
 	m.mu.Unlock()
 
-	res, stable, pass1, err := rta.AnalyzeStable(group, rta.Options{Horizon: horizon, Pass1Warm: warm})
+	opt.Pass1Warm = warm
+	res, stable, pass1, err := rta.AnalyzeStable(group, opt)
 	if err != nil {
 		return nil, false, err
 	}

@@ -22,8 +22,8 @@
 //     cached one except for pointwise larger jitters start their
 //     first-pass fixed point from the parent's converged values
 //     (rta.Options.Pass1Warm); monotonicity makes the trajectory's
-//     result identical, and rta.SelfCheck re-proves it per fixed point
-//     in debug builds and tests.
+//     result identical, and core.AnalyzeOptions.SelfCheck re-proves it
+//     per fixed point in tests.
 //
 // Because every cache is exact-keyed, an Evaluator can be shared across
 // seeds, strategies and worker counts without breaking the repo-wide

@@ -10,17 +10,12 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
-	"repro/internal/rta"
 )
 
-// selfCheck arms the RTA warm-start proof-of-equivalence for the
-// duration of a test: every warm-started fixed point is recomputed cold
-// and must agree exactly.
-func selfCheck(t *testing.T) {
-	t.Helper()
-	rta.SelfCheck = true
-	t.Cleanup(func() { rta.SelfCheck = false })
-}
+// selfCheck arms the RTA warm-start proof-of-equivalence: every
+// warm-started fixed point (cross-pass and, through an Evaluator's memo,
+// cross-configuration) is recomputed cold and must agree exactly.
+var selfCheck = core.AnalyzeOptions{SelfCheck: true}
 
 // corpusSystem materializes corpus member i of a small test corpus.
 func corpusSystem(t testing.TB, i int) (*model.Application, *model.Architecture) {
@@ -73,12 +68,11 @@ func walkConfigs(t testing.TB, app *model.Application, arch *model.Architecture,
 // equal the reference core.Analyze result, with the RTA self-check
 // armed so warm starts prove themselves per fixed point.
 func TestAnalyzeMatchesCold(t *testing.T) {
-	selfCheck(t)
 	for i := 0; i < 3; i++ {
 		app, arch := corpusSystem(t, i)
-		ev := New(app, arch)
+		ev := NewWith(app, arch, selfCheck)
 		for step, cfg := range walkConfigs(t, app, arch, 8, int64(100+i)) {
-			want, err := core.Analyze(app, arch, cfg)
+			want, err := core.AnalyzeWith(app, arch, cfg, selfCheck)
 			if err != nil {
 				t.Fatalf("system %d step %d: cold: %v", i, step, err)
 			}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/opt"
-	"repro/internal/rta"
 )
 
 // FuzzDeltaInvalidation replays fuzzer-chosen move sequences on corpus
@@ -18,7 +17,8 @@ import (
 // real optimizer run reaches; the caches are exact-keyed and never
 // invalidated, so every stale entry stays in place to be (wrongly)
 // hit. Any divergence from the cold path, or a warm-start mismatch
-// caught by rta.SelfCheck, fails the target.
+// caught by the armed self-check (core.AnalyzeOptions.SelfCheck), fails
+// the target.
 func FuzzDeltaInvalidation(f *testing.F) {
 	f.Add(int64(0), []byte{0, 1, 2, 3})
 	f.Add(int64(1), []byte{7, 7, 7, 7, 7, 7})
@@ -28,8 +28,6 @@ func FuzzDeltaInvalidation(f *testing.F) {
 	// The corpus systems are deterministic, so build them once: fuzzing
 	// re-enters the target millions of times.
 	systems := gen.Corpus(4, 700, 3)
-	rta.SelfCheck = true
-	defer func() { rta.SelfCheck = false }()
 
 	f.Fuzz(func(t *testing.T, sysSel int64, script []byte) {
 		spec := systems[int(uint64(sysSel)%uint64(len(systems)))]
@@ -38,7 +36,7 @@ func FuzzDeltaInvalidation(f *testing.F) {
 			t.Fatal(err)
 		}
 		app, arch := sys.Application, sys.Architecture
-		ev := New(app, arch)
+		ev := NewWith(app, arch, selfCheck)
 
 		cfg := core.DefaultConfig(app, arch)
 		if err := cfg.Normalize(app); err != nil {
@@ -48,7 +46,7 @@ func FuzzDeltaInvalidation(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err := core.Analyze(app, arch, cfg); err != nil || !reflect.DeepEqual(a, want) {
+		if want, err := core.AnalyzeWith(app, arch, cfg, selfCheck); err != nil || !reflect.DeepEqual(a, want) {
 			t.Fatalf("base analysis diverges from cold (err %v)", err)
 		}
 
@@ -67,7 +65,7 @@ func FuzzDeltaInvalidation(f *testing.F) {
 				continue // move impossible on this config: pick on
 			}
 			got, gotErr := ev.Analyze(next)
-			want, wantErr := core.Analyze(app, arch, next)
+			want, wantErr := core.AnalyzeWith(app, arch, next, selfCheck)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("step %d move %v: delta err %v, cold err %v", steps, m, gotErr, wantErr)
 			}

@@ -20,14 +20,21 @@
 // tasks have unknown phasing and O_ij = 0. ceil0 clamps at zero.
 //
 // For non-preemptable tasks the arrival count uses the inclusive form
-// floor(x/T)+1 instead of ceil(x/T) (NumQueued vs NumArrivals): a
+// floor(x/T)+1 instead of ceil(x/T) (see CountArrivals): a
 // higher-priority message entering the queue at the same instant is
 // transmitted ahead, which the plain ceil form of the paper would miss
 // when offsets are equal and jitters zero.
+//
+// The analysis works on the priority order of the task set (see
+// PriorityOrder): sorted by (resource, priority), each resource is one
+// contiguous run, hp(i) is the part of i's run before i, and the
+// blocking factor is a suffix maximum over the same run.
 package rta
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -93,14 +100,14 @@ type Options struct {
 	// contract the results are bit-identical to a cold start; SelfCheck
 	// verifies it.
 	Pass1Warm []model.Time
+	// SelfCheck, when true, recomputes every warm-started interference
+	// fixed point (Pass1Warm and the cross-pass warm starts alike) from
+	// its cold starting point and panics on any mismatch — the
+	// proof-of-equivalence check of the incremental evaluator. Tests
+	// enable it; it is off in production because it undoes the warm
+	// start's savings.
+	SelfCheck bool
 }
-
-// SelfCheck, when true, recomputes every warm-started interference
-// fixed point from its cold starting point and panics on any mismatch —
-// the proof-of-equivalence check of the incremental evaluator. Tests
-// and debug builds enable it; it is off in production because it undoes
-// the warm start's savings.
-var SelfCheck bool
 
 // RelOffset returns O_ij, the phase of task j relative to task i within
 // j's period, when both belong to the same transaction; unrelated tasks
@@ -116,39 +123,16 @@ func RelOffset(oi, oj, tj model.Time, sameTrans bool) model.Time {
 	return d
 }
 
-// NumArrivals returns ceil0((win + jj - oij)/tj): how many activations of
-// a task with jitter jj, relative offset oij and period tj land inside an
-// interference window of length win.
-func NumArrivals(win, jj, oij, tj model.Time) model.Time {
-	num := win + jj - oij
-	if num <= 0 {
-		return 0
-	}
-	return (num + tj - 1) / tj
-}
-
-// NumQueued returns floor((win + jj - oij)/tj) + 1 when non-negative,
-// else 0: how many activations land inside the closed window, counting an
-// activation at the very first instant. This is the right count for
-// queue-style interference (a message entering a priority queue at the
-// same instant as m, with higher priority, is transmitted ahead of m),
-// where the paper's ceil form would miss the simultaneous arrival.
-func NumQueued(win, jj, oij, tj model.Time) model.Time {
-	num := win + jj - oij
-	if num < 0 {
-		return 0
-	}
-	return num/tj + 1
-}
-
 // CountArrivals is the general interference count used by the analysis:
 // the number of instances of an interfering task j (jitter jj, relative
 // offset oij, period tj) that can delay a window of length win starting
 // at the analyzed task's activation.
 //
 // For unrelated tasks (sameTrans false) it reduces to the classic
-// critical-instant counts NumArrivals (inclusive false) or NumQueued
-// (inclusive true).
+// critical-instant counts: ceil0((win + jj - oij)/tj) when inclusive is
+// false, and floor((win + jj - oij)/tj) + 1 when inclusive is true and
+// the window is non-negative (an activation at the very first instant
+// counts, as it does in a priority queue).
 //
 // For tasks of the same transaction the relative offset anchors j's
 // releases, and an instance released *before* the window can still be
@@ -229,32 +213,43 @@ func Analyze(tasks []Task, opt Options) ([]Result, error) {
 // below. The pass trajectory — and with it every W/R value, every
 // convergence flag and the pass budget — is identical to a cold
 // iteration.
+//
+// Interference is read off PriorityOrder, so callers that hand in tasks
+// already sorted by (resource, priority) skip the sort; the results do
+// not depend on the input order.
 func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 []model.Time, err error) {
 	if opt.Horizon <= 0 {
 		return nil, false, nil, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
 	}
-	if err := ValidateTasks(tasks); err != nil {
+	ord, err := validOrder(tasks)
+	if err != nil {
 		return nil, false, nil, err
 	}
 	if opt.Pass1Warm != nil && len(opt.Pass1Warm) != len(tasks) {
 		return nil, false, nil, fmt.Errorf("rta: Pass1Warm has %d entries for %d tasks", len(opt.Pass1Warm), len(tasks))
 	}
 	res = make([]Result, len(tasks))
-	resp := make([]model.Time, len(tasks))
-	warm := make([]model.Time, len(tasks))
+	scratch := make([]model.Time, 2*len(tasks))
+	resp, warm := scratch[:len(tasks)], scratch[len(tasks):]
 	for i := range tasks {
 		warm[i] = tasks[i].B
 		if opt.Pass1Warm != nil && opt.Pass1Warm[i] > warm[i] {
 			warm[i] = opt.Pass1Warm[i]
 		}
 	}
-	hp := higherPriorityIndex(tasks)
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		changed := false
-		for i := range tasks {
-			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp[i], warm[i])
-			if SelfCheck && warm[i] > tasks[i].B {
-				cold := analyzeOne(tasks, i, opt.Horizon, resp, hp[i], tasks[i].B)
+		// run is the position where the current resource's run starts;
+		// hp(i) is the slice of the run before i.
+		run := 0
+		for p, i := range ord {
+			if tasks[i].Resource != tasks[ord[run]].Resource {
+				run = p
+			}
+			hp := ord[run:p]
+			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp, warm[i])
+			if opt.SelfCheck && warm[i] > tasks[i].B {
+				cold := analyzeOne(tasks, i, opt.Horizon, resp, hp, tasks[i].B)
 				if cold != res[i] {
 					panic(fmt.Sprintf("rta: warm start of task %s diverged from cold start: warm %+v, cold %+v", name(tasks[i], i), res[i], cold))
 				}
@@ -283,22 +278,71 @@ func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 
 	return res, false, pass1, nil
 }
 
-// higherPriorityIndex precomputes, per task, the indices of the tasks
-// that can interfere with it (same resource, higher priority), so the
-// fixed-point loops touch only relevant tasks.
-func higherPriorityIndex(tasks []Task) [][]int {
-	hp := make([][]int, len(tasks))
-	for i := range tasks {
-		for j := range tasks {
-			if j == i || tasks[j].Resource != tasks[i].Resource {
-				continue
-			}
-			if higher(&tasks[j], &tasks[i]) {
-				hp[i] = append(hp[i], j)
-			}
+// PriorityOrder returns the task indices sorted by (Resource,
+// Priority): each resource is one contiguous run, highest priority
+// first, so the tasks that can interfere with a task are exactly those
+// before it in its run. Input that is already in this order is
+// recognized in one pass and not sorted. Tasks sharing a resource and a
+// priority end up adjacent, in index order.
+func PriorityOrder(tasks []Task) []int {
+	ord := make([]int, len(tasks))
+	sorted := true
+	for i := range ord {
+		ord[i] = i
+		if i > 0 && comparePriority(&tasks[i-1], &tasks[i]) > 0 {
+			sorted = false
 		}
 	}
-	return hp
+	if !sorted {
+		slices.SortStableFunc(ord, func(a, b int) int { return comparePriority(&tasks[a], &tasks[b]) })
+	}
+	return ord
+}
+
+func comparePriority(a, b *Task) int {
+	if c := cmp.Compare(a.Resource, b.Resource); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Priority, b.Priority)
+}
+
+// Blocking returns, per task, the blocking factor of the paper's CAN
+// analysis: the largest C among the lower-priority tasks on the same
+// resource (0 for the lowest). It is one suffix-maximum walk over
+// PriorityOrder; priorities must be unique per resource (ValidateTasks).
+func Blocking(tasks []Task) []model.Time {
+	ord := PriorityOrder(tasks)
+	b := make([]model.Time, len(tasks))
+	var lower model.Time
+	for p := len(ord) - 1; p >= 0; p-- {
+		i := ord[p]
+		if p == len(ord)-1 || tasks[ord[p+1]].Resource != tasks[i].Resource {
+			lower = 0
+		}
+		b[i] = lower
+		lower = max(lower, tasks[i].C)
+	}
+	return b
+}
+
+// validOrder is ValidateTasks followed by PriorityOrder without
+// ValidateTasks' lookup map: duplicate priorities are adjacent in the
+// order. On any violation it returns ValidateTasks' error, so the text
+// and the choice of the reported task are the same.
+func validOrder(tasks []Task) ([]int, error) {
+	for i := range tasks {
+		t := &tasks[i]
+		if t.C <= 0 || t.T <= 0 || t.J < 0 || t.B < 0 || t.O < 0 {
+			return nil, ValidateTasks(tasks)
+		}
+	}
+	ord := PriorityOrder(tasks)
+	for p := 1; p < len(ord); p++ {
+		if comparePriority(&tasks[ord[p-1]], &tasks[ord[p]]) == 0 {
+			return nil, ValidateTasks(tasks)
+		}
+	}
+	return ord, nil
 }
 
 // ValidateTasks checks the structural requirements: positive C and T,
@@ -339,7 +383,7 @@ func name(t Task, i int) string {
 // non-decreasing and every iterate stays bounded by the fixed point, so
 // the horizon test and the converged flag cannot trigger differently.
 func analyzeOne(tasks []Task, i int, horizon model.Time, resp []model.Time, hp []int, warm model.Time) Result {
-	me := tasks[i]
+	me := &tasks[i]
 	w := me.B
 	if warm > w {
 		w = warm
@@ -368,31 +412,4 @@ func analyzeOne(tasks []Task, i int, horizon model.Time, resp []model.Time, hp [
 		}
 		w = next
 	}
-}
-
-func higher(a, b *Task) bool { return a.Priority < b.Priority }
-
-// Utilization returns the load of each resource as sum(C/T).
-func Utilization(tasks []Task) map[int]float64 {
-	u := make(map[int]float64)
-	for _, t := range tasks {
-		u[t.Resource] += float64(t.C) / float64(t.T)
-	}
-	return u
-}
-
-// MaxLowerC returns the blocking factor B_m = max over lower-priority
-// tasks on the same resource of C_k, the paper's CAN blocking term.
-func MaxLowerC(tasks []Task, i int) model.Time {
-	me := tasks[i]
-	var b model.Time
-	for j := range tasks {
-		if j == i || tasks[j].Resource != me.Resource {
-			continue
-		}
-		if higher(&me, &tasks[j]) && tasks[j].C > b {
-			b = tasks[j].C
-		}
-	}
-	return b
 }

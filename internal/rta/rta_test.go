@@ -1,7 +1,10 @@
 package rta
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,21 +125,24 @@ func TestBlockingTerm(t *testing.T) {
 	}
 }
 
+// TestMaxLowerC checks the blocking oracle and Blocking on a
+// hand-computed case, with the input out of priority order.
 func TestMaxLowerC(t *testing.T) {
 	tasks := []Task{
-		{Resource: 0, Priority: 0, C: 5, T: 100},
 		{Resource: 0, Priority: 1, C: 9, T: 100},
-		{Resource: 0, Priority: 2, C: 3, T: 100},
 		{Resource: 1, Priority: 0, C: 50, T: 100}, // other resource: ignored
+		{Resource: 0, Priority: 2, C: 3, T: 100},
+		{Resource: 0, Priority: 0, C: 5, T: 100},
 	}
-	if b := MaxLowerC(tasks, 0); b != 9 {
-		t.Errorf("B(task0) = %d, want 9", b)
-	}
-	if b := MaxLowerC(tasks, 1); b != 3 {
-		t.Errorf("B(task1) = %d, want 3", b)
-	}
-	if b := MaxLowerC(tasks, 2); b != 0 {
-		t.Errorf("B(task2) = %d, want 0", b)
+	want := []model.Time{3, 0, 0, 9}
+	got := Blocking(tasks)
+	for i, w := range want {
+		if b := maxLowerC(tasks, i); b != w {
+			t.Errorf("maxLowerC(task%d) = %d, want %d", i, b, w)
+		}
+		if got[i] != w {
+			t.Errorf("Blocking(task%d) = %d, want %d", i, got[i], w)
+		}
 	}
 }
 
@@ -156,7 +162,7 @@ func TestDivergenceClampsAtHorizon(t *testing.T) {
 	if res[2].W != 1000 {
 		t.Errorf("diverged W = %d, want clamped at 1000", res[2].W)
 	}
-	u := Utilization(tasks)
+	u := utilization(tasks)
 	if u[0] <= 1.0 {
 		t.Errorf("utilization = %v, want > 1", u[0])
 	}
@@ -204,8 +210,12 @@ func TestNumArrivals(t *testing.T) {
 		{5, 18, 20, 10, 1},
 	}
 	for _, c := range cases {
-		if got := NumArrivals(c.win, c.j, c.o, c.T); got != c.want {
-			t.Errorf("NumArrivals(%d,%d,%d,%d) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
+		if got := numArrivals(c.win, c.j, c.o, c.T); got != c.want {
+			t.Errorf("numArrivals(%d,%d,%d,%d) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
+		}
+		// Unrelated tasks, exclusive count: CountArrivals is the ceil form.
+		if got := CountArrivals(c.win, c.j, c.o, c.T, 0, false, false); got != c.want {
+			t.Errorf("CountArrivals(%d,%d,%d,%d, exclusive) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
 		}
 	}
 }
@@ -334,8 +344,12 @@ func TestNumQueued(t *testing.T) {
 		{-1, 0, 0, 10, 0}, // empty window
 	}
 	for _, c := range cases {
-		if got := NumQueued(c.win, c.j, c.o, c.T); got != c.want {
-			t.Errorf("NumQueued(%d,%d,%d,%d) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
+		if got := numQueued(c.win, c.j, c.o, c.T); got != c.want {
+			t.Errorf("numQueued(%d,%d,%d,%d) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
+		}
+		// Unrelated tasks, inclusive count: CountArrivals is the queue form.
+		if got := CountArrivals(c.win, c.j, c.o, c.T, 0, true, false); got != c.want {
+			t.Errorf("CountArrivals(%d,%d,%d,%d, inclusive) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
 		}
 	}
 }
@@ -366,5 +380,243 @@ func TestFloorCeilDiv(t *testing.T) {
 	}
 	if ceilDiv(1, 10) != 1 || ceilDiv(-1, 10) != 0 || ceilDiv(10, 10) != 1 {
 		t.Error("ceilDiv wrong")
+	}
+}
+
+// --- reference implementations ----------------------------------------
+//
+// The oracles below are the straightforward forms the analysis used to
+// run: an O(n²) per-task index of higher-priority tasks, an O(n) scan
+// per blocking factor, and the closed-form arrival counts. The property
+// tests pin the production code to them.
+
+// higherPriorityIndex lists, per task, the indices of the tasks on the
+// same resource with a strictly higher priority, in index order.
+func higherPriorityIndex(tasks []Task) [][]int {
+	hp := make([][]int, len(tasks))
+	for i := range tasks {
+		for j := range tasks {
+			if j == i || tasks[j].Resource != tasks[i].Resource {
+				continue
+			}
+			if tasks[j].Priority < tasks[i].Priority {
+				hp[i] = append(hp[i], j)
+			}
+		}
+	}
+	return hp
+}
+
+// analyzeReference is AnalyzeStable driven by higherPriorityIndex over
+// the tasks in index order.
+func analyzeReference(tasks []Task, opt Options) ([]Result, bool, []model.Time, error) {
+	if opt.Horizon <= 0 {
+		return nil, false, nil, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
+	}
+	if err := ValidateTasks(tasks); err != nil {
+		return nil, false, nil, err
+	}
+	res := make([]Result, len(tasks))
+	resp := make([]model.Time, len(tasks))
+	warm := make([]model.Time, len(tasks))
+	for i := range tasks {
+		warm[i] = tasks[i].B
+		if opt.Pass1Warm != nil && opt.Pass1Warm[i] > warm[i] {
+			warm[i] = opt.Pass1Warm[i]
+		}
+	}
+	var pass1 []model.Time
+	hp := higherPriorityIndex(tasks)
+	for pass := 0; pass < maxResponsePasses; pass++ {
+		for i := range tasks {
+			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp[i], warm[i])
+			warm[i] = res[i].W
+		}
+		if pass == 0 {
+			pass1 = make([]model.Time, len(tasks))
+			for i := range res {
+				pass1[i] = res[i].W
+			}
+		}
+		changed := false
+		for i := range res {
+			if res[i].R != resp[i] {
+				resp[i] = res[i].R
+				changed = true
+			}
+		}
+		if !changed {
+			return res, true, pass1, nil
+		}
+	}
+	for i := range res {
+		res[i].Converged = false
+	}
+	return res, false, pass1, nil
+}
+
+// maxLowerC is the blocking factor by definition: the largest C among
+// the strictly lower-priority tasks on the same resource.
+func maxLowerC(tasks []Task, i int) model.Time {
+	var b model.Time
+	for j := range tasks {
+		if j != i && tasks[j].Resource == tasks[i].Resource && tasks[j].Priority > tasks[i].Priority {
+			b = max(b, tasks[j].C)
+		}
+	}
+	return b
+}
+
+// numArrivals is ceil0((win + jj - oij)/tj), the paper's arrival count.
+func numArrivals(win, jj, oij, tj model.Time) model.Time {
+	num := win + jj - oij
+	if num <= 0 {
+		return 0
+	}
+	return (num + tj - 1) / tj
+}
+
+// numQueued is floor((win + jj - oij)/tj) + 1 for a non-negative
+// window, else 0: the arrival count of a priority queue, where an
+// activation at the first instant counts.
+func numQueued(win, jj, oij, tj model.Time) model.Time {
+	num := win + jj - oij
+	if num < 0 {
+		return 0
+	}
+	return num/tj + 1
+}
+
+// utilization returns the load of each resource as sum(C/T).
+func utilization(tasks []Task) map[int]float64 {
+	u := make(map[int]float64)
+	for _, t := range tasks {
+		u[t.Resource] += float64(t.C) / float64(t.T)
+	}
+	return u
+}
+
+// oracleTaskSet draws a valid task set over several resources in a
+// shuffled input order: priorities are unique per resource but repeat
+// across resources, transactions are shared, distinct or -1, and
+// preemptive and non-preemptive tasks mix on one resource. Blocking
+// factors come from the maxLowerC oracle for non-preemptive tasks.
+func oracleTaskSet(r *rand.Rand) []Task {
+	resources := 1 + r.Intn(4)
+	n := 1 + r.Intn(14)
+	tasks := make([]Task, n)
+	prios := make([][]int, resources)
+	for k := range prios {
+		prios[k] = r.Perm(3 * n)
+	}
+	for i := range tasks {
+		res := r.Intn(resources)
+		prio := prios[res][0]
+		prios[res] = prios[res][1:]
+		tasks[i] = Task{
+			Name:          fmt.Sprintf("t%d", i),
+			Resource:      res,
+			Priority:      prio,
+			C:             1 + model.Time(r.Intn(12)),
+			T:             model.Time(40 * (1 + r.Intn(5))),
+			O:             model.Time(r.Intn(60)),
+			J:             model.Time(r.Intn(30)),
+			Trans:         r.Intn(4) - 1,
+			NonPreemptive: r.Intn(3) == 0,
+		}
+	}
+	r.Shuffle(n, func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
+	for i := range tasks {
+		if tasks[i].NonPreemptive {
+			tasks[i].B = maxLowerC(tasks, i)
+		}
+	}
+	return tasks
+}
+
+// TestPriorityOrderOracle pins AnalyzeStable and Blocking to the
+// reference implementations on random task sets: the same results,
+// stability flag and first-pass delays, cold and warm-started (with the
+// self-check armed), under a generous and a tight horizon.
+func TestPriorityOrderOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 400; trial++ {
+		tasks := oracleTaskSet(r)
+		blocking := Blocking(tasks)
+		for i := range tasks {
+			if want := maxLowerC(tasks, i); blocking[i] != want {
+				t.Fatalf("trial %d: Blocking(%s) = %d, maxLowerC = %d", trial, tasks[i].Name, blocking[i], want)
+			}
+		}
+		horizon := model.Time(hz)
+		if trial%3 == 0 {
+			horizon = model.Time(50 + r.Intn(200))
+		}
+		opt := Options{Horizon: horizon}
+		check := func(label string, opt Options) []model.Time {
+			t.Helper()
+			got, gotStable, gotPass1, err := AnalyzeStable(tasks, opt)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, label, err)
+			}
+			want, wantStable, wantPass1, _ := analyzeReference(tasks, opt)
+			if !reflect.DeepEqual(got, want) || gotStable != wantStable || !reflect.DeepEqual(gotPass1, wantPass1) {
+				t.Fatalf("trial %d %s: got %+v stable %v pass1 %v, reference %+v stable %v pass1 %v",
+					trial, label, got, gotStable, gotPass1, want, wantStable, wantPass1)
+			}
+			return gotPass1
+		}
+		// Warm start from a copy with pointwise smaller jitters, which
+		// satisfies the Pass1Warm contract.
+		smaller := slices.Clone(tasks)
+		for i := range smaller {
+			smaller[i].J = model.Time(r.Intn(int(smaller[i].J) + 1))
+		}
+		_, _, warm, err := AnalyzeStable(smaller, opt)
+		if err != nil {
+			t.Fatalf("trial %d: smaller jitters: %v", trial, err)
+		}
+		check("cold", opt)
+		check("warm", Options{Horizon: horizon, Pass1Warm: warm, SelfCheck: true})
+	}
+}
+
+// TestDuplicatePriorityError checks that AnalyzeStable reports a
+// duplicate priority with ValidateTasks' exact error, naming the first
+// duplicate in index order even when a later pair sorts first.
+func TestDuplicatePriorityError(t *testing.T) {
+	tasks := []Task{
+		{Name: "a", Resource: 0, Priority: 5, C: 1, T: 10},
+		{Name: "b", Resource: 0, Priority: 1, C: 1, T: 10},
+		{Name: "c", Resource: 0, Priority: 5, C: 1, T: 10},
+		{Name: "d", Resource: 0, Priority: 1, C: 1, T: 10},
+	}
+	const want = "rta: tasks a and c share priority 5 on resource 0"
+	if _, _, _, err := AnalyzeStable(tasks, Options{Horizon: hz}); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		tasks := oracleTaskSet(r)
+		if len(tasks) < 2 {
+			continue
+		}
+		i, j := r.Intn(len(tasks)), r.Intn(len(tasks))
+		if i == j {
+			continue
+		}
+		tasks[j].Resource, tasks[j].Priority = tasks[i].Resource, tasks[i].Priority
+		if trial%4 == 0 {
+			tasks[r.Intn(len(tasks))].C = 0 // a field error may come first
+		}
+		want := ValidateTasks(tasks)
+		if want == nil {
+			t.Fatalf("trial %d: ValidateTasks accepted a duplicate", trial)
+		}
+		_, _, _, err := AnalyzeStable(tasks, Options{Horizon: hz})
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("trial %d: err = %v, want %v", trial, err, want)
+		}
 	}
 }
