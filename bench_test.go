@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/expt"
 	"repro/internal/opt"
 	"repro/internal/sa"
@@ -95,11 +97,11 @@ func BenchmarkCruiseSynthesis(b *testing.B) {
 	app, arch := sys.Application, sys.Architecture
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sf, err := opt.Straightforward(app, arch)
+		sf, err := opt.Straightforward(app, arch, cold(app, arch))
 		if err != nil {
 			b.Fatal(err)
 		}
-		orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{})
+		orres, err := opt.OptimizeResources(context.Background(), app, arch, engine.Serial(), cold(app, arch), opt.OROptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,13 +184,18 @@ func TestAnalyzeAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per analysis (bound %d)", allocs, maxAnalyzeAllocs)
 }
 
+// cold is the cold analyzer the optimizer benchmarks run on.
+func cold(app *Application, arch *Architecture) engine.Analyzer {
+	return func(cfg *Config) (*Analysis, error) { return core.Analyze(app, arch, cfg) }
+}
+
 // BenchmarkOptimizeSchedule measures the OS heuristic (E5, heuristic
 // side) on an 80-process application.
 func BenchmarkOptimizeSchedule(b *testing.B) {
 	app, arch := benchSystem(b, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{}); err != nil {
+		if _, err := opt.OptimizeSchedule(context.Background(), app, arch, engine.Serial(), cold(app, arch), opt.OSOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +206,7 @@ func BenchmarkOptimizeResources(b *testing.B) {
 	app, arch := benchSystem(b, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{MaxIterations: 10}); err != nil {
+		if _, err := opt.OptimizeResources(context.Background(), app, arch, engine.Serial(), cold(app, arch), opt.OROptions{MaxIterations: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +219,7 @@ func BenchmarkSimulatedAnnealing(b *testing.B) {
 	app, arch := benchSystem(b, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sa.RunSAS(context.Background(), app, arch, sa.Options{Iterations: 300, Seed: int64(i + 1)}); err != nil {
+		if _, err := sa.RunSAS(context.Background(), app, arch, engine.Serial(), cold(app, arch), sa.Options{Iterations: 300, Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func main() {
 		app.Name, len(app.Procs), len(app.GatewayEdges(arch)))
 
 	// One Solver session serves both strategies, so the second run
-	// reuses the cached slot candidates and configuration templates.
+	// reuses the analyses the first one already computed.
 	ctx := context.Background()
 	solver, err := repro.NewSolver(app, arch)
 	if err != nil {

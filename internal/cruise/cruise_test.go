@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/opt"
 	"repro/internal/sim"
@@ -73,7 +75,7 @@ func TestPublishedBehaviourShape(t *testing.T) {
 	}
 	app, arch := sys.Application, sys.Architecture
 
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -84,7 +86,7 @@ func TestPublishedBehaviourShape(t *testing.T) {
 		t.Errorf("SF response = %d, want > 250", sf.Analysis.GraphResp[0])
 	}
 
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OSOptions{})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}
@@ -98,7 +100,7 @@ func TestPublishedBehaviourShape(t *testing.T) {
 		t.Errorf("OS (%d) must beat SF (%d)", osres.Best.Analysis.GraphResp[0], sf.Analysis.GraphResp[0])
 	}
 
-	orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{})
+	orres, err := opt.OptimizeResources(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OROptions{})
 	if err != nil {
 		t.Fatalf("OptimizeResources: %v", err)
 	}
@@ -119,7 +121,7 @@ func TestCruiseSimulation(t *testing.T) {
 		t.Fatalf("System: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OSOptions{})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}
@@ -141,4 +143,10 @@ func TestCruiseSimulation(t *testing.T) {
 			t.Errorf("simulated response %d exceeds analysed %d", res.GraphWorstResp[0], osres.Best.Analysis.GraphResp[0])
 		}
 	}
+}
+
+// coldAnalyzer is the cold analyzer the tests of this package run the
+// optimizers on.
+func coldAnalyzer(app *model.Application, arch *model.Architecture) engine.Analyzer {
+	return func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -151,12 +152,13 @@ func TestOSScanDeltaProperty(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		app, arch := corpusSystem(t, i)
 
-		cold, err := opt.OptimizeSchedule(ctx, app, arch, opt.OSOptions{})
+		coldEval := func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
+		cold, err := opt.OptimizeSchedule(ctx, app, arch, engine.Serial(), coldEval, opt.OSOptions{})
 		if err != nil {
 			t.Fatalf("system %d: cold OS: %v", i, err)
 		}
 		ev := New(app, arch)
-		warm, err := opt.OptimizeSchedule(ctx, app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: ev.Analyze}})
+		warm, err := opt.OptimizeSchedule(ctx, app, arch, engine.Serial(), ev.Analyze, opt.OSOptions{})
 		if err != nil {
 			t.Fatalf("system %d: delta OS: %v", i, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/delta"
+	"repro/internal/engine"
 	"repro/internal/gen"
 )
 
@@ -21,11 +22,12 @@ func benchmarkExplore(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Population: 12, Generations: 6, Seed: 3, Workers: workers}
+	opts := Options{Population: 12, Generations: 6, Seed: 3}
+	pool, cold := engine.New(workers), coldAnalyzer(sys.Application, sys.Architecture)
 	var res *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = Explore(context.Background(), sys.Application, sys.Architecture, opts)
+		res, err = Explore(context.Background(), sys.Application, sys.Architecture, pool, cold, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,12 +58,13 @@ func benchmarkExploreDelta(b *testing.B, useDelta bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := Options{Population: 12, Generations: 6, Seed: 3}
+		eval := coldAnalyzer(sys.Application, sys.Architecture)
 		var ev *delta.Evaluator
 		if useDelta {
 			ev = delta.New(sys.Application, sys.Architecture)
-			opts.Eval = ev.Analyze
+			eval = ev.Analyze
 		}
-		if _, err := Explore(context.Background(), sys.Application, sys.Architecture, opts); err != nil {
+		if _, err := Explore(context.Background(), sys.Application, sys.Architecture, engine.Serial(), eval, opts); err != nil {
 			b.Fatal(err)
 		}
 		if ev != nil {

@@ -54,12 +54,6 @@ type Options struct {
 	ArchiveCap int
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Workers bounds the concurrent offspring evaluations (default 1 =
-	// serial). The front is bit-identical for every value.
-	Workers int
-	// Pool, when non-nil, supplies the evaluation pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers).
-	Pool *engine.Pool
 	// Seeds are extra configurations injected into the initial
 	// population (cloned and re-analyzed; their analyses count as
 	// evaluations).
@@ -71,17 +65,6 @@ type Options struct {
 	// front always weakly dominates every seed point. Their analyses
 	// are not counted again in Result.Evaluations.
 	SeedPoints []Point
-	// BaseConfig, when non-nil, replaces core.DefaultConfig as the
-	// starting template (the Solver injects its cached template); it
-	// must return a fresh un-normalized clone per call.
-	BaseConfig func() *core.Config
-	// Eval, when non-nil, replaces core.Analyze for every offspring
-	// analysis — the Solver injects its incremental delta evaluator
-	// here. The variation operators emit §5.1 moves (see mutate), so
-	// generations step through move-derived neighbours the evaluator
-	// can serve from its caches; fronts, hypervolumes and Evaluations
-	// counts are identical either way.
-	Eval opt.EvalFunc
 	// OnProgress, when non-nil, receives one event per generation,
 	// emitted from the serial reducing loop.
 	OnProgress func(Progress)
@@ -105,9 +88,6 @@ func (o *Options) defaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 }
 
@@ -145,15 +125,16 @@ type individual struct {
 	idx   int // global creation order: the deterministic tie-break
 }
 
-// Explore runs the multi-objective search. The front is deterministic
-// per seed and identical for every worker count; cancelling ctx
-// returns the best-so-far front together with the context's error.
-func Explore(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
+// Explore runs the multi-objective search, analyzing every offspring
+// through eval across pool. The variation operators emit §5.1 moves
+// (see mutate), so generations step through move-derived neighbours an
+// incremental analyzer can serve from its caches. The front is
+// deterministic per seed and identical for every pool size and
+// analyzer; cancelling ctx returns the best-so-far front together with
+// the context's error.
+func Explore(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, opts Options) (*Result, error) {
 	opts.defaults()
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	archive := NewArchive(opts.ArchiveCap)
 	res := &Result{}
@@ -173,14 +154,8 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 	// become individuals, unanalyzable candidates are skipped, and a
 	// cancellation truncates the batch (stopped = true) keeping what
 	// finished.
-	eval := opts.Eval
-	if eval == nil {
-		eval = func(cfg *core.Config) (*core.Analysis, error) {
-			return core.Analyze(app, arch, cfg)
-		}
-	}
 	evalBatch := func(cfgs []*core.Config) (out []individual, stopped bool) {
-		evals, _ := engine.EvaluateAllWith(ctx, pool, engine.Analyzer(eval), cfgs)
+		evals, _ := engine.EvaluateAll(ctx, pool, eval, cfgs)
 		for i, ev := range evals {
 			if ev.Err != nil {
 				if ctx.Err() != nil && errors.Is(ev.Err, ctx.Err()) {
@@ -199,12 +174,7 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 
 	// Initial population: the normalized default template, the injected
 	// seed configurations, and the pre-evaluated seed points.
-	var baseCfg *core.Config
-	if opts.BaseConfig != nil {
-		baseCfg = opts.BaseConfig()
-	} else {
-		baseCfg = core.DefaultConfig(app, arch)
-	}
+	baseCfg := core.DefaultConfig(app, arch)
 	if err := baseCfg.Normalize(app); err != nil {
 		return nil, err
 	}

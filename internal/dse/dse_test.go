@@ -6,6 +6,8 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -22,9 +24,15 @@ func system(t testing.TB, seed int64) (*model.Application, *model.Architecture) 
 	return sys.Application, sys.Architecture
 }
 
-func explore(t testing.TB, app *model.Application, arch *model.Architecture, opts Options) *Result {
+// coldAnalyzer is the cold analyzer the tests of this package explore
+// on.
+func coldAnalyzer(app *model.Application, arch *model.Architecture) engine.Analyzer {
+	return func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
+}
+
+func explore(t testing.TB, app *model.Application, arch *model.Architecture, pool *engine.Pool, opts Options) *Result {
 	t.Helper()
-	res, err := Explore(context.Background(), app, arch, opts)
+	res, err := Explore(context.Background(), app, arch, pool, coldAnalyzer(app, arch), opts)
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -36,7 +44,7 @@ func explore(t testing.TB, app *model.Application, arch *model.Architecture, opt
 // another.
 func TestExploreFrontMutuallyNonDominated(t *testing.T) {
 	app, arch := system(t, 3)
-	res := explore(t, app, arch, Options{Population: 8, Generations: 4, Seed: 5})
+	res := explore(t, app, arch, engine.Serial(), Options{Population: 8, Generations: 4, Seed: 5})
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
@@ -61,12 +69,12 @@ func TestExploreFrontMutuallyNonDominated(t *testing.T) {
 // in every objective at once.
 func TestExploreFrontWeaklyDominatesSF(t *testing.T) {
 	app, arch := system(t, 4)
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sfObj := Point{Config: sf.Config, Analysis: sf.Analysis}.Objectives()
-	res := explore(t, app, arch, Options{Population: 8, Generations: 3, Seed: 2})
+	res := explore(t, app, arch, engine.Serial(), Options{Population: 8, Generations: 3, Seed: 2})
 	found := false
 	for _, p := range res.Front {
 		if p.Objectives().WeaklyDominates(sfObj) {
@@ -88,9 +96,8 @@ func TestExploreFrontWeaklyDominatesSF(t *testing.T) {
 func TestExploreWorkerCountIndependence(t *testing.T) {
 	app, arch := system(t, 6)
 	opts := Options{Population: 8, Generations: 4, Seed: 9}
-	serial := explore(t, app, arch, opts)
-	opts.Workers = 4
-	parallel := explore(t, app, arch, opts)
+	serial := explore(t, app, arch, engine.New(1), opts)
+	parallel := explore(t, app, arch, engine.New(4), opts)
 
 	if serial.Evaluations != parallel.Evaluations || serial.Generations != parallel.Generations {
 		t.Errorf("counters differ: serial (%d evals, %d gens) vs parallel (%d, %d)",
@@ -120,8 +127,8 @@ func TestExploreWorkerCountIndependence(t *testing.T) {
 // (the rng is actually wired through).
 func TestExploreSeedChangesSearch(t *testing.T) {
 	app, arch := system(t, 6)
-	a := explore(t, app, arch, Options{Population: 8, Generations: 4, Seed: 1})
-	b := explore(t, app, arch, Options{Population: 8, Generations: 4, Seed: 99})
+	a := explore(t, app, arch, engine.Serial(), Options{Population: 8, Generations: 4, Seed: 1})
+	b := explore(t, app, arch, engine.Serial(), Options{Population: 8, Generations: 4, Seed: 99})
 	if a.Evaluations == b.Evaluations && a.Hypervolume == b.Hypervolume && len(a.Front) == len(b.Front) {
 		// Identical counters AND volume AND size across seeds would be
 		// suspicious; compare the fronts to be sure.
@@ -144,7 +151,7 @@ func TestExploreCancellationReturnsBestSoFar(t *testing.T) {
 	app, arch := system(t, 3)
 	evals := 0
 	ctx, cancel := context.WithCancel(context.Background())
-	res, err := Explore(ctx, app, arch, Options{
+	res, err := Explore(ctx, app, arch, engine.Serial(), coldAnalyzer(app, arch), Options{
 		Population: 8, Generations: 1000, Seed: 5,
 		OnProgress: func(p Progress) {
 			evals = p.Evaluations
@@ -176,12 +183,12 @@ func TestExploreCancellationReturnsBestSoFar(t *testing.T) {
 // front always weakly dominates them.
 func TestExploreSeedPointsEnterArchive(t *testing.T) {
 	app, arch := system(t, 3)
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seed := Point{Config: osres.Best.Config, Analysis: osres.Best.Analysis}
-	res := explore(t, app, arch, Options{
+	res := explore(t, app, arch, engine.Serial(), Options{
 		Population: 6, Generations: 2, Seed: 7,
 		SeedPoints: []Point{seed},
 	})
@@ -203,7 +210,7 @@ func TestExploreImmediateCancel(t *testing.T) {
 	app, arch := system(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Explore(ctx, app, arch, Options{Population: 4, Generations: 2})
+	res, err := Explore(ctx, app, arch, engine.Serial(), coldAnalyzer(app, arch), Options{Population: 4, Generations: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -11,13 +11,19 @@
 // and the evaluation sweeps of §6 analyze hundreds of generated
 // applications. Such design-space sweeps are embarrassingly parallel
 // (cf. parametric schedulability analysis, Sun et al.), so the engine
-// exposes exactly three batch primitives:
+// exposes batch primitives over one pool type:
 //
 //   - Map: run fn(i) for i in [0, n) across the pool and return the
 //     results in index order, one captured error per item;
 //   - Sweep: Map over a list of self-contained jobs (whole experiments);
-//   - EvaluateAll: Map specialized to core.Analyze over candidate
-//     configurations.
+//   - EvaluateAll: Map over candidate configurations through an
+//     Analyzer (cold core.Analyze or the incremental delta evaluator);
+//   - EvaluateAllDelta: EvaluateAll over candidates derived from one
+//     shared parent configuration inside the batch.
+//
+// The engine does not choose the pool or the Analyzer: the synthesis
+// session (package solve) owns one pool and one Analyzer and passes
+// both to every optimizer it runs.
 //
 // Determinism is the contract that makes the engine safe to drop into
 // the published heuristics: callers generate the full candidate batch

@@ -7,14 +7,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // Pool bounds the concurrency of the batch primitives. The zero value
 // and New(0) size the pool to runtime.NumCPU(); New(1) runs batches
-// serially on the calling goroutine, which is the library default so
-// that callers opt in to parallelism explicitly (the cmd tools pass
-// runtime.NumCPU() through their -workers flag).
+// serially on the calling goroutine. The optimizers never build a pool
+// of their own: the synthesis session (package solve) sizes one from
+// its Workers option and hands it to every search it runs.
 type Pool struct {
 	workers int
 }
@@ -142,25 +141,17 @@ func (e *Evaluation) Schedulable() bool { return e.Err == nil && e.Analysis.Sche
 // Analyzer evaluates one configuration (application and architecture
 // are captured by the closure). core.Analyze partially applied is the
 // cold implementation; delta.(*Evaluator).Analyze is the incremental
-// one. Analyzers must be safe for concurrent use and must return
-// identical results for identical configurations, so batches stay
-// worker-count independent.
+// one. The synthesis session picks which one every search runs on.
+// Analyzers must be safe for concurrent use and must return identical
+// results for identical configurations, so batches stay worker-count
+// independent.
 type Analyzer func(cfg *core.Config) (*core.Analysis, error)
 
-// EvaluateAll analyzes every candidate configuration across the pool
-// and returns the evaluations in candidate order. app and arch are
-// shared read-only; each configuration must be an independent value (as
-// produced by Config.Clone or Move.Apply).
-func EvaluateAll(ctx context.Context, p *Pool, app *model.Application, arch *model.Architecture, cfgs []*core.Config) ([]Evaluation, error) {
-	return EvaluateAllWith(ctx, p, func(cfg *core.Config) (*core.Analysis, error) {
-		return core.Analyze(app, arch, cfg)
-	}, cfgs)
-}
-
-// EvaluateAllWith is EvaluateAll through an explicit Analyzer, so
-// long-lived sessions can route batches through their incremental
-// evaluator.
-func EvaluateAllWith(ctx context.Context, p *Pool, az Analyzer, cfgs []*core.Config) ([]Evaluation, error) {
+// EvaluateAll analyzes every candidate configuration through az across
+// the pool and returns the evaluations in candidate order. Each
+// configuration must be an independent value (as produced by
+// Config.Clone or Move.Apply).
+func EvaluateAll(ctx context.Context, p *Pool, az Analyzer, cfgs []*core.Config) ([]Evaluation, error) {
 	results, err := Map(ctx, p, len(cfgs), func(_ context.Context, i int) (*core.Analysis, error) {
 		return az(cfgs[i])
 	})

@@ -164,7 +164,8 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	par, err := EvaluateAll(context.Background(), New(8), app, arch, cfgs)
+	cold := func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
+	par, err := EvaluateAll(context.Background(), New(8), cold, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

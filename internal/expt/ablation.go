@@ -51,6 +51,10 @@ func Ablation(ctx context.Context, opts Options) ([]AblationRow, error) {
 			return cell{}, err
 		}
 
+		// Every stand-alone analysis of the cell runs through the cell
+		// session, like the full variant's.
+		az := func(cfg *core.Config) (*core.Analysis, error) { return sv.Analyze(ctx, cfg) }
+
 		// Full OptimizeSchedule.
 		full, err := sv.OptimizeSchedule(ctx)
 		if err != nil {
@@ -64,23 +68,24 @@ func Ablation(ctx context.Context, opts Options) ([]AblationRow, error) {
 		if err := noHopa.Normalize(app); err != nil {
 			return cell{}, err
 		}
-		aNoHopa, err := core.Analyze(app, arch, noHopa)
+		aNoHopa, err := az(noHopa)
 		if err != nil {
 			return cell{}, err
 		}
 
-		// HOPA without the slot search: ascending minimal round.
+		// HOPA without the slot search: ascending minimal round, with
+		// the iteration count the full variant used.
 		base := core.DefaultConfig(app, arch)
 		if err := base.Normalize(app); err != nil {
 			return cell{}, err
 		}
-		pr, err := hopa.Assign(app, arch, base.Round, opts.OR.OS.HOPAIterations)
+		pr, err := hopa.Assign(app, arch, base.Round, opts.OR.OS.HOPAIterations, az)
 		if err != nil {
 			return cell{}, err
 		}
 		base.ProcPriority = pr.ProcPriority
 		base.MsgPriority = pr.MsgPriority
-		aNoSlot, err := core.Analyze(app, arch, base)
+		aNoSlot, err := az(base)
 		if err != nil {
 			return cell{}, err
 		}

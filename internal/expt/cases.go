@@ -53,12 +53,12 @@ func Cruise(ctx context.Context, opts Options) ([]CruiseRow, error) {
 	}
 	add("OS", orres.OS.Best)
 	add("OR", orres.Best)
-	sas, _, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeDelta, opts.SAIterations, 1, opts.Workers)
+	sas, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeDelta, 1, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	add("SAS", sas)
-	sar, _, err := bestSA(ctx, sv, orres.Best, sa.MinimizeBuffers, opts.SAIterations, 1, opts.Workers)
+	sar, err := bestSA(ctx, sv, orres.Best, sa.MinimizeBuffers, 1, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/hopa"
 	"repro/internal/model"
 	"repro/internal/opt"
 	"repro/internal/sa"
@@ -66,6 +67,11 @@ func (o *Options) defaults() {
 	}
 	if o.SAIterations <= 0 {
 		o.SAIterations = 150
+	}
+	// Fixed here rather than inside OptimizeSchedule, so the ablation's
+	// stand-alone HOPA run uses the count its full variant used.
+	if o.OR.OS.HOPAIterations <= 0 {
+		o.OR.OS.HOPAIterations = hopa.DefaultIterations
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -204,45 +210,45 @@ func deviationPct(value, best float64) float64 {
 	return 100 * (value - best) / den
 }
 
-// bestSA runs the annealer twice - from the SF baseline and from the OS
-// best - and keeps the better outcome. This stands in for the paper's
-// "very long and expensive runs ... the best ever solution produced has
-// been considered a close to the optimum value". The chains are
-// independent and run across an engine pool of workers goroutines
-// (pass 1 from inside an already-parallel sweep cell); the reduction
-// keeps chain order, so the outcome does not depend on the pool size.
-func bestSA(ctx context.Context, sv *solve.Solver, osBest *opt.Result, obj sa.Objective, iters int, seed int64, workers int) (*opt.Result, int, error) {
-	app, arch := sv.Application(), sv.Architecture()
+// bestSA runs the cell session's annealer twice - from the SF baseline
+// and from the OS best - and keeps the better outcome. This stands in
+// for the paper's "very long and expensive runs ... the best ever
+// solution produced has been considered a close to the optimum value".
+// The chains are independent and run across an engine pool of workers
+// goroutines (pass 1 from inside an already-parallel sweep cell); the
+// reduction keeps chain order, so the outcome does not depend on the
+// pool size.
+func bestSA(ctx context.Context, sv *solve.Solver, osBest *opt.Result, obj sa.Objective, seed int64, workers int) (*opt.Result, error) {
 	sf, err := sv.Straightforward(ctx)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	runs := []*core.Config{sf.Config}
 	if osBest != nil {
 		runs = append(runs, osBest.Config)
 	}
+	strat := solve.SAS
+	if obj == sa.MinimizeBuffers {
+		strat = solve.SAR
+	}
 	jobs := make([]func(context.Context) (*sa.Result, error), len(runs))
 	for i, init := range runs {
 		i, init := i, init
 		jobs[i] = func(jctx context.Context) (*sa.Result, error) {
-			return sa.Run(jctx, app, arch, init, sa.Options{
-				Objective: obj, Iterations: iters, Seed: seed + int64(i),
-			})
+			return sv.Anneal(jctx, obj, init, seed+int64(i), strat)
 		}
 	}
 	chains, _ := engine.Sweep(ctx, engine.New(workers), jobs)
-	evals := 0
 	var best *opt.Result
 	for _, c := range chains {
 		if c.Err != nil {
-			return nil, 0, c.Err
+			return nil, c.Err
 		}
-		evals += c.Value.Evaluations
 		if best == nil || saBetter(obj, c.Value.Best, best) {
 			best = c.Value.Best
 		}
 	}
-	return best, evals, nil
+	return best, nil
 }
 
 func saBetter(obj sa.Objective, a, b *opt.Result) bool {
@@ -300,7 +306,7 @@ func Fig9a(ctx context.Context, opts Options) ([]Fig9aRow, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		sas, _, err := bestSA(ctx, sv, osres.Best, sa.MinimizeDelta, opts.SAIterations, seed, 1)
+		sas, err := bestSA(ctx, sv, osres.Best, sa.MinimizeDelta, seed, 1)
 		if err != nil {
 			return cell{}, err
 		}
@@ -378,7 +384,7 @@ func Fig9b(ctx context.Context, opts Options) ([]Fig9bRow, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		sar, _, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, opts.SAIterations, seed, 1)
+		sar, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, seed, 1)
 		if err != nil {
 			return cell{}, err
 		}
@@ -449,7 +455,7 @@ func Fig9c(ctx context.Context, opts Options) ([]Fig9cRow, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		sar, _, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, opts.SAIterations, seed, 1)
+		sar, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, seed, 1)
 		if err != nil {
 			return cell{}, err
 		}
@@ -538,11 +544,11 @@ func Runtimes(ctx context.Context, opts Options) ([]RuntimeRow, error) {
 			{&row.OS, func() error { var err error; osres, err = sv.OptimizeSchedule(ctx); return err }},
 			{&row.OR, func() error { _, err := sv.OptimizeResources(ctx); return err }},
 			{&row.SAS, func() error {
-				_, _, err := bestSA(ctx, sv, osres.Best, sa.MinimizeDelta, opts.SAIterations, 1, 1)
+				_, err := bestSA(ctx, sv, osres.Best, sa.MinimizeDelta, 1, 1)
 				return err
 			}},
 			{&row.SAR, func() error {
-				_, _, err := bestSA(ctx, sv, osres.Best, sa.MinimizeBuffers, opts.SAIterations, 1, 1)
+				_, err := bestSA(ctx, sv, osres.Best, sa.MinimizeBuffers, 1, 1)
 				return err
 			}},
 		}

@@ -14,10 +14,12 @@
 package hopa
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/can"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/ttp"
 )
@@ -35,31 +37,21 @@ type Result struct {
 	Evaluations int
 }
 
-// DefaultIterations is the number of redistribution rounds when the
-// caller passes 0.
-const DefaultIterations = 4
+// DefaultIterations is the number of redistribution rounds
+// OptimizeSchedule runs per candidate when its options leave the count
+// unset. It is the one default of the flow; Assign itself takes an
+// explicit count.
+const DefaultIterations = 2
 
-// Assign computes priorities for the given TDMA round. The round is not
-// modified; it only parameterizes the analysis. iterations <= 0 selects
-// DefaultIterations.
-func Assign(app *model.Application, arch *model.Architecture, round ttp.Round, iterations int) (*Result, error) {
-	return AssignWith(app, arch, round, iterations, nil)
-}
-
-// AssignWith is Assign through an explicit analysis function (nil falls
-// back to core.Analyze). Sessions route the redistribution loop's
-// analyses through their incremental evaluator this way; Evaluations
-// still counts every analysis the loop requests, whether or not the
-// evaluator served it from cache, so reports stay comparable.
-func AssignWith(app *model.Application, arch *model.Architecture, round ttp.Round, iterations int,
-	eval func(*core.Config) (*core.Analysis, error)) (*Result, error) {
+// Assign computes priorities for the given TDMA round, analyzing every
+// redistribution round through eval. The round is not modified; it
+// only parameterizes the analysis. iterations must be positive.
+// Evaluations counts every analysis the loop requests, whether or not
+// eval served it from a cache, so reports stay comparable across
+// analyzers.
+func Assign(app *model.Application, arch *model.Architecture, round ttp.Round, iterations int, eval engine.Analyzer) (*Result, error) {
 	if iterations <= 0 {
-		iterations = DefaultIterations
-	}
-	if eval == nil {
-		eval = func(cfg *core.Config) (*core.Analysis, error) {
-			return core.Analyze(app, arch, cfg)
-		}
+		return nil, fmt.Errorf("hopa: %d iterations, want at least 1", iterations)
 	}
 	ld, err := initialLocalDeadlines(app, arch, round)
 	if err != nil {

@@ -4,9 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/ttp"
 )
+
+// coldAnalyzer is the cold analyzer the tests of this package run HOPA
+// on.
+func coldAnalyzer(app *model.Application, arch *model.Architecture) engine.Analyzer {
+	return func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
+}
 
 // fig4 rebuilds the paper's Figure 4 system (see internal/core tests).
 func fig4(t *testing.T) (*model.Application, *model.Architecture, ttp.Round) {
@@ -46,7 +53,7 @@ func fig4(t *testing.T) (*model.Application, *model.Architecture, ttp.Round) {
 // end up with higher priority than P3 (the paper's Fig. 4c insight).
 func TestAssignFindsSchedulableFig4(t *testing.T) {
 	app, arch, round := fig4(t)
-	res, err := Assign(app, arch, round, 0)
+	res, err := Assign(app, arch, round, 4, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
@@ -67,11 +74,32 @@ func TestAssignFindsSchedulableFig4(t *testing.T) {
 	}
 }
 
+// TestAssignRejectsNonPositiveIterations: the iteration count is an
+// explicit input, so zero or a negative count is an error and runs no
+// analysis, instead of silently selecting some default.
+func TestAssignRejectsNonPositiveIterations(t *testing.T) {
+	app, arch, round := fig4(t)
+	for _, n := range []int{0, -1} {
+		calls := 0
+		eval := func(cfg *core.Config) (*core.Analysis, error) {
+			calls++
+			return core.Analyze(app, arch, cfg)
+		}
+		res, err := Assign(app, arch, round, n, eval)
+		if err == nil {
+			t.Errorf("iterations=%d: got result %+v, want an error", n, res)
+		}
+		if calls != 0 {
+			t.Errorf("iterations=%d: %d analyses run, want none", n, calls)
+		}
+	}
+}
+
 // TestAssignProducesValidConfig: the returned priorities always form a
 // valid configuration (unique per resource, complete).
 func TestAssignProducesValidConfig(t *testing.T) {
 	app, arch, round := fig4(t)
-	res, err := Assign(app, arch, round, 2)
+	res, err := Assign(app, arch, round, 2, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
@@ -89,7 +117,7 @@ func TestAssignProducesValidConfig(t *testing.T) {
 // be worse.
 func TestAssignBeatsCreationOrder(t *testing.T) {
 	app, arch, round := fig4(t)
-	res, err := Assign(app, arch, round, 0)
+	res, err := Assign(app, arch, round, 4, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}

@@ -32,62 +32,6 @@ type Progress struct {
 	Best        *Result
 }
 
-// EvalFunc analyzes one configuration. The cold implementation is
-// core.Analyze partially applied; sessions inject their incremental
-// delta evaluator, which must return identical results (the delta
-// package's differential harness proves it does).
-type EvalFunc func(*core.Config) (*core.Analysis, error)
-
-// Hooks instruments an optimizer run and lets a long-lived session
-// inject cached derived state. The zero value disables everything.
-type Hooks struct {
-	// OnProgress, when non-nil, receives one event per reduction step.
-	OnProgress func(Progress)
-	// Eval, when non-nil, replaces core.Analyze for every candidate
-	// analysis, HOPA's included. Evaluation counters count the analyses
-	// the optimizers request, not what Eval recomputes, so reported
-	// Evaluations are identical with and without an injected evaluator.
-	Eval EvalFunc
-	// SlotLengths, when non-nil, replaces
-	// tsched.RecommendedSlotLengths so a session can cache the
-	// candidate sets per slot owner. It must return exactly what the
-	// tsched call would (the optimizers rely on that for determinism).
-	SlotLengths func(owner model.NodeID, max int) []model.Time
-	// BaseConfig, when non-nil, replaces core.DefaultConfig as the
-	// starting template; it must return a fresh un-normalized clone
-	// per call.
-	BaseConfig func() *core.Config
-}
-
-func (h *Hooks) progress(p Progress) {
-	if h.OnProgress != nil {
-		h.OnProgress(p)
-	}
-}
-
-func (h *Hooks) slotLengths(app *model.Application, arch *model.Architecture, owner model.NodeID, max int) []model.Time {
-	if h.SlotLengths != nil {
-		return h.SlotLengths(owner, max)
-	}
-	return tsched.RecommendedSlotLengths(app, arch, owner, max)
-}
-
-func (h *Hooks) baseConfig(app *model.Application, arch *model.Architecture) *core.Config {
-	if h.BaseConfig != nil {
-		return h.BaseConfig()
-	}
-	return core.DefaultConfig(app, arch)
-}
-
-func (h *Hooks) eval(app *model.Application, arch *model.Architecture) EvalFunc {
-	if h.Eval != nil {
-		return h.Eval
-	}
-	return func(cfg *core.Config) (*core.Analysis, error) {
-		return core.Analyze(app, arch, cfg)
-	}
-}
-
 // canceled reports whether err is the batch-wide cancellation of ctx
 // (as opposed to a genuine per-candidate analysis failure).
 func canceled(ctx context.Context, err error) bool {
@@ -103,8 +47,8 @@ func (r *Result) STotal() int { return r.Analysis.Buffers.Total }
 // Schedulable reports the analysis verdict.
 func (r *Result) Schedulable() bool { return r.Analysis.Schedulable }
 
-// evaluateWith analyzes a configuration through the run's evaluator.
-func evaluateWith(eval EvalFunc, cfg *core.Config) (*Result, error) {
+// evaluate analyzes a configuration through the run's analyzer.
+func evaluate(eval engine.Analyzer, cfg *core.Config) (*Result, error) {
 	a, err := eval(cfg)
 	if err != nil {
 		return nil, err
@@ -116,48 +60,33 @@ func evaluateWith(eval EvalFunc, cfg *core.Config) (*Result, error) {
 // slots in ascending architecture order, slot lengths fixed at the
 // minimum that accommodates the largest message of each node, priorities
 // left at their declaration order, and the system scheduled by
-// MultiClusterScheduling. Priority optimization (HOPA) is part of
-// OptimizeSchedule, not of the baseline (§5.1).
-func Straightforward(app *model.Application, arch *model.Architecture) (*Result, error) {
-	return StraightforwardWith(app, arch, nil)
-}
-
-// StraightforwardWith is Straightforward through an explicit evaluator
-// (nil falls back to core.Analyze).
-func StraightforwardWith(app *model.Application, arch *model.Architecture, eval EvalFunc) (*Result, error) {
+// MultiClusterScheduling through eval. Priority optimization (HOPA) is
+// part of OptimizeSchedule, not of the baseline (§5.1).
+func Straightforward(app *model.Application, arch *model.Architecture, eval engine.Analyzer) (*Result, error) {
 	cfg := core.DefaultConfig(app, arch)
 	if err := cfg.Normalize(app); err != nil {
 		return nil, err
 	}
-	if eval == nil {
-		eval = (&Hooks{}).eval(app, arch)
-	}
-	return evaluateWith(eval, cfg)
+	return evaluate(eval, cfg)
 }
 
 // OSOptions tunes OptimizeSchedule.
 type OSOptions struct {
-	// HOPAIterations per candidate configuration (default 2).
+	// HOPAIterations per candidate configuration (default
+	// hopa.DefaultIterations).
 	HOPAIterations int
 	// SlotCandidates caps the recommended lengths tried per slot
 	// (default 3).
 	SlotCandidates int
 	// SeedLimit caps the seed_solutions list (default 6).
 	SeedLimit int
-	// Workers bounds the concurrent candidate evaluations (default 1 =
-	// serial). The result is identical for every value: candidates are
-	// generated up front and reduced in order.
-	Workers int
-	// Pool, when non-nil, supplies the evaluation pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers).
-	Pool *engine.Pool
-	// Hooks instruments the run; see Hooks.
-	Hooks Hooks
+	// OnProgress, when non-nil, receives one event per slot position.
+	OnProgress func(Progress)
 }
 
 func (o *OSOptions) defaults() {
 	if o.HOPAIterations <= 0 {
-		o.HOPAIterations = 2
+		o.HOPAIterations = hopa.DefaultIterations
 	}
 	if o.SlotCandidates <= 0 {
 		o.SlotCandidates = 3
@@ -165,8 +94,11 @@ func (o *OSOptions) defaults() {
 	if o.SeedLimit <= 0 {
 		o.SeedLimit = 6
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
+}
+
+func (o *OSOptions) progress(p Progress) {
+	if o.OnProgress != nil {
+		o.OnProgress(p)
 	}
 }
 
@@ -203,21 +135,20 @@ type osEval struct {
 // schedulability, with HOPA priorities per candidate, recording the best
 // configurations (by delta and by s_total) as seeds for the second step.
 //
-// The candidates of each position are independent, so they are
-// evaluated across an engine pool of opts.Workers goroutines; the
+// Every candidate analysis, HOPA's included, runs through eval;
+// Evaluations counts the analyses requested, not what eval recomputes,
+// so it does not depend on the analyzer. The candidates of each
+// position are independent, so they are evaluated across pool; the
 // reduction walks them in generation order, which makes the outcome
-// identical to the serial walk for any worker count.
+// identical to the serial walk for any pool size.
 //
 // Cancelling ctx stops the search at the next evaluation granule: the
 // returned OSResult then carries the best configuration and the seeds
 // found so far, together with ctx's error.
-func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.Architecture, opts OSOptions) (*OSResult, error) {
+func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, opts OSOptions) (*OSResult, error) {
 	opts.defaults()
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
-	base := opts.Hooks.baseConfig(app, arch)
+	base := core.DefaultConfig(app, arch)
 	res := &OSResult{}
 	var seeds []*Result
 
@@ -241,7 +172,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 		var cands []osCandidate
 		//mcs:allow ctxloop candidate generation is cheap in-memory setup; the position loop checks ctx and the batch evaluation is ctx-aware
 		for j := i; j < len(round.Slots); j++ {
-			lengths := opts.Hooks.slotLengths(app, arch, round.Slots[j].Node, opts.SlotCandidates)
+			lengths := tsched.RecommendedSlotLengths(app, arch, round.Slots[j].Node, opts.SlotCandidates)
 			for _, l := range lengths {
 				var mvs []Move
 				if j != i {
@@ -253,7 +184,6 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 		}
 
 		// Fan the derivation + HOPA + analysis work out across the pool.
-		eval := opts.Hooks.eval(app, arch)
 		evals, _ := engine.Map(ctx, pool, len(cands), func(_ context.Context, k int) (osEval, error) {
 			cfg := parent
 			for _, mv := range cands[k].moves {
@@ -263,7 +193,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 				}
 				cfg = next
 			}
-			pr, err := hopa.AssignWith(app, arch, cfg.Round, opts.HOPAIterations, eval)
+			pr, err := hopa.Assign(app, arch, cfg.Round, opts.HOPAIterations, eval)
 			if err != nil {
 				return osEval{}, err
 			}
@@ -273,7 +203,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 			if err := full.Normalize(app); err != nil {
 				return osEval{hopaEvals: pr.Evaluations}, err
 			}
-			r, err := evaluateWith(eval, full)
+			r, err := evaluate(eval, full)
 			if err != nil {
 				return osEval{hopaEvals: pr.Evaluations}, err
 			}
@@ -312,7 +242,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 		if bestRes != nil && (best == nil || better(bestRes, best)) {
 			best = bestRes
 		}
-		opts.Hooks.progress(Progress{Phase: "os", Step: i + 1, Evaluations: res.Evaluations, Best: best})
+		opts.progress(Progress{Phase: "os", Step: i + 1, Evaluations: res.Evaluations, Best: best})
 	}
 	res.Best = best
 	res.Seeds = selectSeeds(seeds, opts.SeedLimit)
@@ -379,35 +309,14 @@ type OROptions struct {
 	Seeds int
 	// RandSeed drives the sampled share of the neighbourhood.
 	RandSeed int64
-	// Workers bounds the concurrent neighbour evaluations (default 1 =
-	// serial; forwarded to the OS step unless OS.Workers is set). The
-	// hill-climbing outcome is identical for every value.
-	Workers int
-	// Pool, when non-nil, supplies the evaluation pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers); it is
-	// forwarded to the OS step unless OS.Pool is set.
-	Pool *engine.Pool
-	// Hooks instruments the hill climber; cache hooks are forwarded to
-	// the OS step unless OS.Hooks sets them.
-	Hooks Hooks
+	// OnProgress, when non-nil, receives one event per OS slot position
+	// and per hill-climbing step; it replaces OS.OnProgress, so the two
+	// phases stream to one observer.
+	OnProgress func(Progress)
 }
 
 func (o *OROptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.OS.Workers <= 0 {
-		o.OS.Workers = o.Workers
-	}
-	if o.OS.Pool == nil {
-		o.OS.Pool = o.Pool
-	}
-	if o.OS.Hooks.SlotLengths == nil {
-		o.OS.Hooks.SlotLengths = o.Hooks.SlotLengths
-	}
-	if o.OS.Hooks.BaseConfig == nil {
-		o.OS.Hooks.BaseConfig = o.Hooks.BaseConfig
-	}
+	o.OS.OnProgress = o.OnProgress
 	o.OS.defaults()
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 40
@@ -440,14 +349,16 @@ type ORResult struct {
 // OptimizeResources is the two-step resource optimization of Fig. 7:
 // first OptimizeSchedule finds schedulable seed solutions, then a
 // hill-climbing loop performs the §5.1 moves, accepting only schedulable
-// neighbours that strictly reduce s_total.
+// neighbours that strictly reduce s_total. Both steps analyze through
+// eval across pool.
 //
 // Cancelling ctx stops the climb at the next evaluation granule: the
 // returned ORResult then carries the best configuration found so far,
 // together with ctx's error.
-func OptimizeResources(ctx context.Context, app *model.Application, arch *model.Architecture, opts OROptions) (*ORResult, error) {
+func OptimizeResources(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, opts OROptions) (*ORResult, error) {
 	opts.defaults()
-	osres, err := OptimizeSchedule(ctx, app, arch, opts.OS)
+	osres, err := OptimizeSchedule(ctx, app, arch, pool, eval, opts.OS)
 	if err != nil {
 		if osres == nil || osres.Best == nil {
 			return nil, err
@@ -462,11 +373,6 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 		return out, ctx.Err()
 	}
 	rng := rand.New(rand.NewSource(opts.RandSeed))
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
-	eval := opts.Hooks.eval(app, arch)
 	best := osres.Best
 	step := 0
 	for si, seed := range osres.Seeds {
@@ -487,7 +393,7 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 			// the typed moves derive each neighbour from the shared
 			// incumbent inside the batch.
 			moves := GenerateMoves(app, arch, cur.Config, cur.Analysis, MoveBudget{Max: opts.NeighborBudget, Rand: rng})
-			evals, _ := engine.EvaluateAllDelta(ctx, pool, engine.Analyzer(eval), cur.Config, len(moves),
+			evals, _ := engine.EvaluateAllDelta(ctx, pool, eval, cur.Config, len(moves),
 				func(k int, parent *core.Config) (*core.Config, error) {
 					return moves[k].Apply(app, arch, parent)
 				})
@@ -514,7 +420,9 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 				out.Improved = true
 			}
 			step++
-			opts.Hooks.progress(Progress{Phase: "or", Step: step, Evaluations: out.Evaluations, Best: best})
+			if opts.OnProgress != nil {
+				opts.OnProgress(Progress{Phase: "or", Step: step, Evaluations: out.Evaluations, Best: best})
+			}
 		}
 	}
 	out.Best = best

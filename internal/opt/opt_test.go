@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
 )
@@ -53,7 +54,7 @@ func small(t *testing.T, seed int64) (*model.Application, *model.Architecture) {
 
 func TestStraightforward(t *testing.T) {
 	app, arch := fig4(t)
-	r, err := Straightforward(app, arch)
+	r, err := Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -67,11 +68,11 @@ func TestStraightforward(t *testing.T) {
 
 func TestOptimizeScheduleBeatsSF(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := Straightforward(app, arch)
+	sf, err := Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
-	osres, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{})
+	osres, err := OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), OSOptions{})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestOptimizeScheduleBeatsSF(t *testing.T) {
 
 func TestOptimizeResourcesReducesBuffers(t *testing.T) {
 	app, arch := small(t, 21)
-	orres, err := OptimizeResources(context.Background(), app, arch, OROptions{
+	orres, err := OptimizeResources(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), OROptions{
 		MaxIterations: 10, NeighborBudget: 12, Seeds: 2,
 	})
 	if err != nil {
@@ -123,7 +124,7 @@ func TestOptimizeResourcesReducesBuffers(t *testing.T) {
 
 func TestGenerateMovesDeterministicAndBounded(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := Straightforward(app, arch)
+	sf, err := Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -153,7 +154,7 @@ func TestGenerateMovesDeterministicAndBounded(t *testing.T) {
 
 func TestMovesApplyAndValidate(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := Straightforward(app, arch)
+	sf, err := Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -290,7 +291,7 @@ func TestORImprovesCruiseBuffers(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	orres, err := OptimizeResources(context.Background(), app, arch, OROptions{MaxIterations: 20, NeighborBudget: 16, Seeds: 3})
+	orres, err := OptimizeResources(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), OROptions{MaxIterations: 20, NeighborBudget: 16, Seeds: 3})
 	if err != nil {
 		t.Fatalf("OptimizeResources: %v", err)
 	}
@@ -306,7 +307,7 @@ func TestORImprovesCruiseBuffers(t *testing.T) {
 // system must keep the analysis well-formed and the pin observable.
 func TestMovePinWithinInterval(t *testing.T) {
 	app, arch := fig4(t)
-	osres, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{})
+	osres, err := OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), OSOptions{})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}
@@ -338,4 +339,10 @@ func TestMovePinWithinInterval(t *testing.T) {
 	if !moved {
 		t.Skip("no movable TT activity with slack")
 	}
+}
+
+// coldAnalyzer is the cold analyzer the tests of this package run the
+// optimizers on.
+func coldAnalyzer(app *model.Application, arch *model.Architecture) engine.Analyzer {
+	return func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
 }

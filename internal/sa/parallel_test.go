@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // TestRunRestartsParallelEqualsSerial checks that the multi-chain
@@ -17,17 +18,13 @@ func TestRunRestartsParallelEqualsSerial(t *testing.T) {
 	if err := initial.Normalize(app); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	base := Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4}
-	serialOpts := base
-	serialOpts.Workers = 1
-	serial, err := RunRestarts(context.Background(), app, arch, initial, serialOpts)
+	opts := Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4}
+	serial, err := RunRestarts(context.Background(), app, arch, engine.New(1), coldAnalyzer(app, arch), initial, opts)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, workers := range []int{2, 8} {
-		parOpts := base
-		parOpts.Workers = workers
-		par, err := RunRestarts(context.Background(), app, arch, initial, parOpts)
+		par, err := RunRestarts(context.Background(), app, arch, engine.New(workers), coldAnalyzer(app, arch), initial, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -50,11 +47,13 @@ func TestRunRestartsImprovesOnSingleChain(t *testing.T) {
 	if err := initial.Normalize(app); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	one, err := RunRestarts(context.Background(), app, arch, initial, Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2})
+	one, err := RunRestarts(context.Background(), app, arch, engine.New(1), coldAnalyzer(app, arch), initial,
+		Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunRestarts(context.Background(), app, arch, initial, Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4, Workers: 4})
+	many, err := RunRestarts(context.Background(), app, arch, engine.New(4), coldAnalyzer(app, arch), initial,
+		Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,18 +49,6 @@ type Options struct {
 	// chain is inherently sequential, so restarts are the unit of
 	// parallelism.
 	Restarts int
-	// Workers bounds the concurrently running chains (default 1 =
-	// serial). The best-ever result is identical for every value.
-	Workers int
-	// Pool, when non-nil, supplies the chain pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers).
-	Pool *engine.Pool
-	// Eval, when non-nil, replaces core.Analyze for every analysis of
-	// the chains (and the SF start of RunSAS/RunSAR) — the Solver
-	// injects its incremental delta evaluator here. Results and
-	// Evaluations counts are identical either way; successive chain
-	// steps share the parent state through the evaluator's caches.
-	Eval opt.EvalFunc
 	// OnProgress, when non-nil, receives one event per evaluated move.
 	// With several restart chains the callback runs concurrently and
 	// must be safe for concurrent use; Chain tells the events apart.
@@ -98,9 +86,6 @@ func (o *Options) defaults() {
 	if o.Restarts <= 0 {
 		o.Restarts = 1
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 }
 
 // Result is the annealing outcome.
@@ -130,24 +115,22 @@ func cost(obj Objective, r *opt.Result) float64 {
 	}
 }
 
-// Run anneals from the given initial configuration. The initial
-// configuration must be normalized and valid.
+// Run anneals from the given initial configuration, analyzing every
+// step through eval. The initial configuration must be normalized and
+// valid. Results and Evaluations counts do not depend on the analyzer;
+// an incremental one lets successive steps share the parent's state.
 //
 // Cancelling ctx stops the chain at the next iteration: the returned
 // Result then carries the best-ever solution found so far, together
 // with ctx's error.
-func Run(ctx context.Context, app *model.Application, arch *model.Architecture, initial *core.Config, opts Options) (*Result, error) {
-	return runChain(ctx, app, arch, initial, opts, 0)
+func Run(ctx context.Context, app *model.Application, arch *model.Architecture,
+	eval engine.Analyzer, initial *core.Config, opts Options) (*Result, error) {
+	return runChain(ctx, app, arch, eval, initial, opts, 0)
 }
 
-func runChain(ctx context.Context, app *model.Application, arch *model.Architecture, initial *core.Config, opts Options, chain int) (*Result, error) {
+func runChain(ctx context.Context, app *model.Application, arch *model.Architecture,
+	eval engine.Analyzer, initial *core.Config, opts Options, chain int) (*Result, error) {
 	opts.defaults()
-	eval := opts.Eval
-	if eval == nil {
-		eval = func(cfg *core.Config) (*core.Analysis, error) {
-			return core.Analyze(app, arch, cfg)
-		}
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	curA, err := eval(initial)
 	if err != nil {
@@ -200,34 +183,30 @@ func runChain(ctx context.Context, app *model.Application, arch *model.Architect
 }
 
 // RunRestarts anneals opts.Restarts independent chains from the same
-// initial configuration, seeded opts.Seed, opts.Seed+1, ..., across an
-// engine pool of opts.Workers goroutines, and returns the best-ever
-// result over all chains (ties broken by the lowest chain index, so the
-// outcome is deterministic for every worker count). Evaluations and
-// Accepted are summed over the chains.
+// initial configuration, seeded opts.Seed, opts.Seed+1, ..., across
+// pool, analyzing through eval, and returns the best-ever result over
+// all chains (ties broken by the lowest chain index, so the outcome is
+// deterministic for every pool size). Evaluations and Accepted are
+// summed over the chains.
 //
 // Cancelling ctx stops every chain at its next iteration; the returned
 // Result aggregates the chains' best-so-far solutions and carries
 // ctx's error (Best is nil only when no chain completed a single
 // analysis).
-func RunRestarts(ctx context.Context, app *model.Application, arch *model.Architecture, initial *core.Config, opts Options) (*Result, error) {
+func RunRestarts(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, initial *core.Config, opts Options) (*Result, error) {
 	opts.defaults()
 	if opts.Restarts == 1 {
-		return Run(ctx, app, arch, initial, opts)
-	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
+		return Run(ctx, app, arch, eval, initial, opts)
 	}
 	jobs := make([]func(context.Context) (*Result, error), opts.Restarts)
 	for i := range jobs {
 		i := i
 		chainOpts := opts
 		chainOpts.Seed = opts.Seed + int64(i)
-		chainOpts.Restarts, chainOpts.Workers = 1, 1
-		chainOpts.Pool = nil
+		chainOpts.Restarts = 1
 		jobs[i] = func(ctx context.Context) (*Result, error) {
-			return runChain(ctx, app, arch, initial, chainOpts, i)
+			return runChain(ctx, app, arch, eval, initial, chainOpts, i)
 		}
 	}
 	chains, _ := engine.Sweep(ctx, pool, jobs)
@@ -255,24 +234,27 @@ func RunRestarts(ctx context.Context, app *model.Application, arch *model.Archit
 
 // RunSAS anneals for the degree of schedulability from the SF starting
 // point (the paper's SA Schedule baseline).
-func RunSAS(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
+func RunSAS(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, opts Options) (*Result, error) {
 	opts.Objective = MinimizeDelta
-	return runFromSF(ctx, app, arch, opts)
+	return runFromSF(ctx, app, arch, pool, eval, opts)
 }
 
 // RunSAR anneals for the total buffer need (the paper's SA Resources
 // baseline).
-func RunSAR(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
+func RunSAR(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, opts Options) (*Result, error) {
 	opts.Objective = MinimizeBuffers
-	return runFromSF(ctx, app, arch, opts)
+	return runFromSF(ctx, app, arch, pool, eval, opts)
 }
 
-func runFromSF(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
-	sf, err := opt.StraightforwardWith(app, arch, opts.Eval)
+func runFromSF(ctx context.Context, app *model.Application, arch *model.Architecture,
+	pool *engine.Pool, eval engine.Analyzer, opts Options) (*Result, error) {
+	sf, err := opt.Straightforward(app, arch, eval)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunRestarts(ctx, app, arch, sf.Config, opts)
+	res, err := RunRestarts(ctx, app, arch, pool, eval, sf.Config, opts)
 	if res != nil {
 		// Count the SF starting analysis even when the anneal was
 		// canceled, so partial and completed runs report comparable

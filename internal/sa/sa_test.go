@@ -4,10 +4,18 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
 )
+
+// coldAnalyzer is the cold analyzer the tests of this package anneal
+// on.
+func coldAnalyzer(app *model.Application, arch *model.Architecture) engine.Analyzer {
+	return func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
+}
 
 func fig4(t *testing.T) (*model.Application, *model.Architecture) {
 	t.Helper()
@@ -39,11 +47,11 @@ func fig4(t *testing.T) (*model.Application, *model.Architecture) {
 
 func TestSASImprovesDelta(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
-	res, err := RunSAS(context.Background(), app, arch, Options{Iterations: 120, Seed: 3})
+	res, err := RunSAS(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), Options{Iterations: 120, Seed: 3})
 	if err != nil {
 		t.Fatalf("RunSAS: %v", err)
 	}
@@ -64,7 +72,7 @@ func TestSARMinimizesBuffersKeepingSchedulability(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	res, err := RunSAR(context.Background(), app, arch, Options{Iterations: 80, Seed: 4})
+	res, err := RunSAR(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), Options{Iterations: 80, Seed: 4})
 	if err != nil {
 		t.Fatalf("RunSAR: %v", err)
 	}
@@ -82,11 +90,11 @@ func TestSARMinimizesBuffersKeepingSchedulability(t *testing.T) {
 
 func TestDeterminismWithSeed(t *testing.T) {
 	app, arch := fig4(t)
-	a, err := RunSAS(context.Background(), app, arch, Options{Iterations: 60, Seed: 9})
+	a, err := RunSAS(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), Options{Iterations: 60, Seed: 9})
 	if err != nil {
 		t.Fatalf("RunSAS: %v", err)
 	}
-	b, err := RunSAS(context.Background(), app, arch, Options{Iterations: 60, Seed: 9})
+	b, err := RunSAS(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), Options{Iterations: 60, Seed: 9})
 	if err != nil {
 		t.Fatalf("RunSAS: %v", err)
 	}
@@ -98,7 +106,7 @@ func TestDeterminismWithSeed(t *testing.T) {
 
 func TestObjectiveCosts(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -131,12 +139,12 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestBestNeverWorseThanStart(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.Straightforward(app, arch, coldAnalyzer(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
 	for _, obj := range []Objective{MinimizeDelta, MinimizeBuffers} {
-		res, err := Run(context.Background(), app, arch, sf.Config, Options{Objective: obj, Iterations: 50, Seed: 7})
+		res, err := Run(context.Background(), app, arch, coldAnalyzer(app, arch), sf.Config, Options{Objective: obj, Iterations: 50, Seed: 7})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -11,8 +11,8 @@ import (
 // solverCache is an LRU of base Solver sessions keyed by the canonical
 // system fingerprint alone: every option variant (strategy, seed,
 // budgets) of one system derives its per-request session from the same
-// cached base via Solver.Derive, so the seed-independent derived state
-// (templates, slot-length candidates) is shared across a whole sweep.
+// cached base via Solver.Derive, so the seed-independent incremental
+// evaluator is shared across a whole sweep.
 // A hit changes nothing about the synthesized configuration — only how
 // fast the job starts producing evaluations.
 type solverCache struct {

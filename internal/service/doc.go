@@ -15,8 +15,8 @@
 //     the canonical System.Fingerprint content hash plus the normalized
 //     solver options. Because a Solver caches only seed-independent
 //     derived state, a cache hit produces configurations bit-identical
-//     to a cold Solver (asserted by tests); the hit merely skips the
-//     re-derivation of templates and slot-length candidate sets.
+//     to a cold Solver (asserted by tests); the hit merely serves
+//     analyses its incremental evaluator has already computed.
 //
 //   - A bounded job queue (service.go): Submit enqueues an asynchronous
 //     synthesis job (rejecting when the queue is full), runner

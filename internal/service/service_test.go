@@ -416,6 +416,10 @@ func TestRetentionEvictsOldestTerminal(t *testing.T) {
 		waitDone(t, s, resp.ID)
 		ids = append(ids, resp.ID)
 	}
+	// Done fires when a job is published; its retirement (the
+	// retention loop) follows on the runner. Draining waits for the
+	// runners, so every retirement has happened before the checks.
+	s.Drain(context.Background())
 	for _, old := range ids[:2] {
 		if _, err := s.Status(old); !errors.Is(err, ErrUnknownJob) {
 			t.Errorf("job %s: err %v, want ErrUnknownJob after eviction", old, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/opt"
 )
@@ -27,7 +28,7 @@ func TestAnalysisDominatesSimulationWithPins(t *testing.T) {
 			t.Fatalf("Generate: %v", err)
 		}
 		app, arch := sys.Application, sys.Architecture
-		orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{
+		orres, err := opt.OptimizeResources(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OROptions{
 			MaxIterations: 12, NeighborBudget: 16, Seeds: 2,
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/opt"
 )
@@ -41,7 +42,7 @@ func twinSystem(t *testing.T) (*model.Application, *model.Architecture, *core.Co
 	if err := app.Finalize(arch); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OSOptions{})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}

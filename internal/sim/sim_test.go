@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -225,7 +226,7 @@ func TestAnalysisDominatesSimulationGenerated(t *testing.T) {
 			t.Fatalf("Generate: %v", err)
 		}
 		app, arch := sys.Application, sys.Architecture
-		osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{HOPAIterations: 2, SlotCandidates: 2})
+		osres, err := opt.OptimizeSchedule(context.Background(), app, arch, engine.Serial(), coldAnalyzer(app, arch), opt.OSOptions{HOPAIterations: 2, SlotCandidates: 2})
 		if err != nil {
 			t.Fatalf("OptimizeSchedule: %v", err)
 		}
@@ -273,4 +274,10 @@ func TestBestCaseNeverSlower(t *testing.T) {
 	if len(best.Violations) != 0 {
 		t.Errorf("best-case violations: %v", best.Violations)
 	}
+}
+
+// coldAnalyzer is the cold analyzer the tests of this package run the
+// optimizers on.
+func coldAnalyzer(app *model.Application, arch *model.Architecture) engine.Analyzer {
+	return func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
 }

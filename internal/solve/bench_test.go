@@ -8,9 +8,8 @@ import (
 )
 
 // The benchmarks below compare the cold-start path (a fresh Solver per
-// operation, deriving default configuration templates and slot
-// candidate sets from scratch) with the session path (one Solver
-// reused), for the analyze and synthesize entry points. CI collects
+// operation, with a fresh incremental evaluator) with the session path
+// (one Solver reused), for the analyze and synthesize entry points. CI collects
 // them into the BENCH_solver.json artifact.
 
 func benchSolver(b *testing.B) *Solver {
@@ -46,8 +45,8 @@ func BenchmarkSolverAnalyzeCold(b *testing.B) {
 // BenchmarkSolverAnalyzeCached reuses one session for every analysis.
 func BenchmarkSolverAnalyzeCached(b *testing.B) {
 	s := benchSolver(b)
-	cfg, err := s.normalizedBase()
-	if err != nil {
+	cfg := core.DefaultConfig(s.Application(), s.Architecture())
+	if err := cfg.Normalize(s.Application()); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
@@ -60,8 +59,7 @@ func BenchmarkSolverAnalyzeCached(b *testing.B) {
 }
 
 // BenchmarkSolverSynthesizeCold runs the OS heuristic on a fresh
-// session per call: every call re-derives the slot candidate sets and
-// the configuration templates.
+// session per call: every call starts with an empty evaluator.
 func BenchmarkSolverSynthesizeCold(b *testing.B) {
 	app, arch := system(b, 1)
 	ctx := context.Background()
@@ -78,7 +76,7 @@ func BenchmarkSolverSynthesizeCold(b *testing.B) {
 }
 
 // BenchmarkSolverSynthesizeCached runs the OS heuristic on one session:
-// from the second call on, the derived state comes from the caches.
+// from the second call on, the analyses come from the warm evaluator.
 func BenchmarkSolverSynthesizeCached(b *testing.B) {
 	s := benchSolver(b)
 	ctx := context.Background()

@@ -12,7 +12,7 @@ import (
 // DSEOptions tunes Solver.Explore. Zero values select the dse package
 // defaults; the seed defaults to the session seed. The options are
 // per-call (unlike the session Options) so one Solver can serve many
-// exploration budgets without rebuilding its caches.
+// exploration budgets on one warm evaluator.
 type DSEOptions struct {
 	// Population and Generations bound the NSGA-II loop (defaults 16
 	// and 12).
@@ -72,15 +72,15 @@ func WithSeedConfigs(cfgs ...*core.Config) DSEOption {
 // dse) on the session: instead of a single configuration it returns a
 // Pareto front over (degree of schedulability, total buffer need,
 // reserved TTP bus bandwidth). The exploration shares the session's
-// evaluation pool and cached templates, streams "dse" progress events
-// to the session observer, and is bit-identical for every worker count
-// under a fixed seed.
+// evaluation pool and analyzer, streams "dse" progress events to the
+// session observer, and is bit-identical for every worker count under
+// a fixed seed.
 //
 // By default the search warm-starts from the paper's single-objective
 // heuristics: OptimizeResources runs first (with the session's OR
-// options and caches) and its results — the OR optimum, the OS optimum
-// and the OS seed solutions — are injected into the initial population
-// and the archive. The returned front therefore always contains points
+// options, pool and analyzer) and its results — the OR optimum, the OS
+// optimum and the OS seed solutions — are injected into the initial
+// population and the archive. The returned front therefore always contains points
 // that weakly dominate both the OS-only and the OR-only results;
 // Result.Evaluations includes the warm start's analyses.
 //
@@ -100,7 +100,7 @@ func (s *Solver) Explore(ctx context.Context, options ...DSEOption) (*dse.Result
 	warmEvals := 0
 	var warmPoints []dse.Point
 	if o.WarmStart {
-		orres, err := opt.OptimizeResources(ctx, s.app, s.arch, s.orOptions(Explore))
+		orres, err := opt.OptimizeResources(ctx, s.app, s.arch, s.pool, s.eval(), s.orOptions(Explore))
 		if orres != nil {
 			warmEvals = orres.Evaluations
 			collect := func(r *opt.Result) {
@@ -134,19 +134,15 @@ func (s *Solver) Explore(ctx context.Context, options ...DSEOption) (*dse.Result
 		}
 	}
 
-	res, err := dse.Explore(ctx, s.app, s.arch, dse.Options{
+	res, err := dse.Explore(ctx, s.app, s.arch, s.pool, s.eval(), dse.Options{
 		Population:   o.Population,
 		Generations:  o.Generations,
 		MoveBudget:   o.MoveBudget,
 		MaxMutations: o.MaxMutations,
 		ArchiveCap:   o.ArchiveCap,
 		Seed:         o.Seed,
-		Workers:      s.opts.Workers,
-		Pool:         s.pool,
 		Seeds:        o.Seeds,
 		SeedPoints:   warmPoints,
-		BaseConfig:   s.baseConfig,
-		Eval:         s.eval(),
 		OnProgress:   s.observeDSE(warmEvals),
 	})
 	if res != nil {

@@ -5,9 +5,8 @@ import (
 )
 
 // Options is the normalized configuration of a Solver. Zero values are
-// filled in by normalize — exactly once, in New — so every consumer
-// (heuristics, annealers, experiment sweeps) sees the same defaults
-// and the same nested worker counts.
+// filled in by Normalize — exactly once, in New — so every consumer
+// (heuristics, annealers, experiment sweeps) sees the same defaults.
 type Options struct {
 	// Strategy selects the algorithm run by Synthesize (default
 	// Straightforward).
@@ -21,11 +20,11 @@ type Options struct {
 	// SAS/SAR strategies (default 1); the best-ever solution wins.
 	SARestarts int
 	// Workers bounds the solver's shared evaluation pool (default 1 =
-	// serial; results are identical for every value).
+	// serial; results are identical for every value). It is the one
+	// concurrency knob: every search of the session runs on that pool.
 	Workers int
-	// OR tunes the OptimizeSchedule/OptimizeResources heuristics.
-	// Unset nested worker counts and the unset RandSeed inherit the
-	// top-level Workers and Seed.
+	// OR tunes the OptimizeSchedule/OptimizeResources heuristics. An
+	// unset RandSeed inherits Seed.
 	OR opt.OROptions
 	// NoDelta disables the incremental delta-evaluation engine
 	// (internal/delta): every analysis then runs the cold
@@ -38,12 +37,9 @@ type Options struct {
 	Observer Observer
 }
 
-// Normalize fills defaults and resolves every nested option from the
-// top-level ones. New calls it, so constructed Solvers always see
-// normalized options; the service layer also calls it directly to
-// derive canonical cache keys from request fields. After it returns,
-// Workers, OR.Workers and OR.OS.Workers agree unless the caller
-// explicitly set them apart.
+// Normalize fills defaults and resolves the nested OR seed from the
+// top-level one. New calls it, so constructed Solvers always see
+// normalized options.
 func (o *Options) Normalize() {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -56,12 +52,6 @@ func (o *Options) Normalize() {
 	}
 	if o.SARestarts <= 0 {
 		o.SARestarts = 1
-	}
-	if o.OR.Workers <= 0 {
-		o.OR.Workers = o.Workers
-	}
-	if o.OR.OS.Workers <= 0 {
-		o.OR.OS.Workers = o.OR.Workers
 	}
 	if o.OR.RandSeed == 0 {
 		o.OR.RandSeed = o.Seed
@@ -95,6 +85,6 @@ func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = 
 func WithDelta(on bool) Option { return func(o *Options) { o.NoDelta = !on } }
 
 // WithOROptions tunes the OS/OR heuristics (iteration caps, seed
-// limits, neighbour budgets). Unset nested worker counts still inherit
-// the top-level WithWorkers value.
+// limits, neighbour budgets). Their analyses run on the session's pool
+// (see WithWorkers) and analyzer.
 func WithOROptions(or opt.OROptions) Option { return func(o *Options) { o.OR = or } }

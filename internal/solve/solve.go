@@ -1,9 +1,10 @@
 // Package solve is the session layer of the reproduction: a Solver is
-// created once per (Application, Architecture) pair and owns everything
-// repeated operations want to share — the evaluation pool, the default
-// configuration templates and the per-node slot-length candidate sets —
-// so that interactive or iterated exploration (the ROADMAP's service
-// workload) stops re-deriving system invariants on every call.
+// created once per (Application, Architecture) pair and owns what every
+// search shares — the evaluation pool and the analyzer (the incremental
+// delta evaluator, or cold core.Analyze under WithDelta(false)). The
+// optimizers (packages opt, hopa, sa, dse) take both as parameters and
+// never build their own, so one session decides where and how every
+// analysis of a run executes.
 //
 // Every operation is context-first and cancellable at evaluation
 // granularity: a cancelled Synthesize returns the best configuration
@@ -27,7 +28,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/sa"
 	"repro/internal/sim"
-	"repro/internal/tsched"
 )
 
 // Result couples the configuration chosen by a synthesis run with its
@@ -47,46 +47,23 @@ type Solver struct {
 	arch *model.Architecture
 	opts Options
 	pool *engine.Pool
-
-	// cache holds the per-system derived state; derived sessions
-	// (Observed) share it, so the expensive templates are computed once
-	// per system no matter how many observers fan out.
-	cache *sysCache
+	// ev is the system's incremental evaluator. It carries only
+	// configuration-keyed, seed-independent state, so derived sessions
+	// (Observed, Derive) share it across seeds, strategies and worker
+	// counts without perturbing results; sessions built with
+	// WithDelta(false) bypass it.
+	ev *delta.Evaluator
 
 	obsMu *sync.Mutex // serializes Observer delivery across SA chains
 }
 
-// sysCache is the seed-independent derived state of one system, shared
-// by a Solver and every session derived from it.
-type sysCache struct {
-	mu       sync.Mutex
-	baseRaw  *core.Config // un-normalized DefaultConfig template
-	baseNorm *core.Config // normalized template (SF / SA starting point)
-	slotLens map[slotKey][]model.Time
-	// deltaEval is the session's incremental evaluator. Like the
-	// templates it carries only configuration-keyed, seed-independent
-	// state, so derived sessions (Observed, Derive) share it across
-	// seeds, strategies and worker counts without perturbing results;
-	// sessions built with WithDelta(false) simply bypass it.
-	deltaEval *delta.Evaluator
-}
-
-type slotKey struct {
-	owner model.NodeID
-	max   int
-}
-
-// New builds a Solver. Options normalize exactly here (worker counts,
-// seeds, iteration budgets); see Options.normalize.
+// New builds a Solver. Options normalize exactly here (worker count,
+// seeds, iteration budgets); see Options.Normalize.
 func New(app *model.Application, arch *model.Architecture, options ...Option) (*Solver, error) {
 	if app == nil || arch == nil {
 		return nil, fmt.Errorf("solve: nil application or architecture")
 	}
-	s := &Solver{
-		app: app, arch: arch,
-		cache: &sysCache{slotLens: make(map[slotKey][]model.Time)},
-		obsMu: &sync.Mutex{},
-	}
+	s := &Solver{app: app, arch: arch, ev: delta.New(app, arch), obsMu: &sync.Mutex{}}
 	for _, o := range options {
 		if o != nil {
 			o(&s.opts)
@@ -98,9 +75,9 @@ func New(app *model.Application, arch *model.Architecture, options ...Option) (*
 }
 
 // Observed returns a derived session that shares this solver's pool and
-// per-system caches but streams progress to obs instead. Since the
-// shared caches carry only seed-independent state, results from a
-// derived session are bit-identical to the parent's.
+// evaluator but streams progress to obs instead. Since the evaluator
+// carries only seed-independent state, results from a derived session
+// are bit-identical to the parent's.
 func (s *Solver) Observed(obs Observer) *Solver {
 	d := *s
 	d.opts.Observer = obs
@@ -110,13 +87,13 @@ func (s *Solver) Observed(obs Observer) *Solver {
 
 // Derive returns a session for the same system with a fresh option set
 // (applied to zero Options and normalized exactly like New's), sharing
-// the parent's seed-independent derived-state caches — and its pool,
-// when the worker counts agree. The service layer uses it to serve
-// every option variant (strategy, seed, budgets, per-job observers) of
-// one cached system without re-deriving templates; results are
-// bit-identical to a cold Solver built with the same options.
+// the parent's incremental evaluator — and its pool, when the worker
+// counts agree. The service layer uses it to serve every option variant
+// (strategy, seed, budgets, per-job observers) of one cached system
+// from one warm evaluator; results are bit-identical to a cold Solver
+// built with the same options.
 func (s *Solver) Derive(options ...Option) *Solver {
-	d := &Solver{app: s.app, arch: s.arch, cache: s.cache, obsMu: &sync.Mutex{}}
+	d := &Solver{app: s.app, arch: s.arch, ev: s.ev, obsMu: &sync.Mutex{}}
 	for _, o := range options {
 		if o != nil {
 			o(&d.opts)
@@ -140,96 +117,28 @@ func (s *Solver) Architecture() *model.Architecture { return s.arch }
 // Options returns a copy of the solver's normalized options.
 func (s *Solver) Options() Options { return s.opts }
 
-// baseConfig returns a fresh clone of the cached un-normalized default
-// configuration (the OptimizeSchedule starting template).
-func (s *Solver) baseConfig() *core.Config {
-	c := s.cache
-	c.mu.Lock()
-	if c.baseRaw == nil {
-		c.baseRaw = core.DefaultConfig(s.app, s.arch)
-	}
-	cfg := c.baseRaw.Clone()
-	c.mu.Unlock()
-	return cfg
-}
-
-// normalizedBase returns a fresh clone of the cached normalized default
-// configuration (the SF result shape and the annealers' start point).
-func (s *Solver) normalizedBase() (*core.Config, error) {
-	c := s.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.baseNorm == nil {
-		cfg := core.DefaultConfig(s.app, s.arch)
-		if err := cfg.Normalize(s.app); err != nil {
-			return nil, err
-		}
-		c.baseNorm = cfg
-	}
-	return c.baseNorm.Clone(), nil
-}
-
-// slotLengths is the cached tsched.RecommendedSlotLengths: the
-// candidate sets depend only on the application's traffic per owner, so
-// one derivation serves every OptimizeSchedule position and every
-// Synthesize call of the session.
-func (s *Solver) slotLengths(owner model.NodeID, max int) []model.Time {
-	k := slotKey{owner: owner, max: max}
-	c := s.cache
-	c.mu.Lock()
-	lengths, ok := c.slotLens[k]
-	if !ok {
-		lengths = tsched.RecommendedSlotLengths(s.app, s.arch, owner, max)
-		c.slotLens[k] = lengths
-	}
-	c.mu.Unlock()
-	return lengths
-}
-
-// evaluator returns the shared incremental evaluator, creating it on
-// first use, or nil when the session runs with delta-eval disabled.
-func (s *Solver) evaluator() *delta.Evaluator {
+// eval is the session's analyzer, the one every search of the session
+// runs on: the incremental evaluator when delta-eval is on (the
+// default), the cold core.Analyze otherwise. Results are bit-identical
+// either way.
+func (s *Solver) eval() engine.Analyzer {
 	if s.opts.NoDelta {
-		return nil
+		return func(cfg *core.Config) (*core.Analysis, error) {
+			return core.Analyze(s.app, s.arch, cfg)
+		}
 	}
-	c := s.cache
-	c.mu.Lock()
-	if c.deltaEval == nil {
-		c.deltaEval = delta.New(s.app, s.arch)
-	}
-	ev := c.deltaEval
-	c.mu.Unlock()
-	return ev
-}
-
-// eval is the session's analysis function: the incremental evaluator
-// when delta-eval is on (the default), the cold core.Analyze otherwise.
-// Results are bit-identical either way.
-func (s *Solver) eval() opt.EvalFunc {
-	if ev := s.evaluator(); ev != nil {
-		return ev.Analyze
-	}
-	return func(cfg *core.Config) (*core.Analysis, error) {
-		return core.Analyze(s.app, s.arch, cfg)
-	}
+	return s.ev.Analyze
 }
 
 // DeltaStats reports the incremental evaluator's cache counters (the
-// zero Stats when the session runs with WithDelta(false) or nothing was
-// analyzed yet). Derived sessions share the evaluator, so the counters
-// aggregate over every session of the system.
+// zero Stats when the session runs with WithDelta(false)). Derived
+// sessions share the evaluator, so the counters aggregate over every
+// session of the system.
 func (s *Solver) DeltaStats() delta.Stats {
 	if s.opts.NoDelta {
 		return delta.Stats{}
 	}
-	c := s.cache
-	c.mu.Lock()
-	ev := c.deltaEval
-	c.mu.Unlock()
-	if ev == nil {
-		return delta.Stats{}
-	}
-	return ev.Stats()
+	return s.ev.Stats()
 }
 
 // emit serializes an event to the observer, if any.
@@ -275,32 +184,11 @@ func (s *Solver) observeSA(strat Strategy) func(sa.Progress) {
 	}
 }
 
-// hooks builds the opt instrumentation for one run: progress to the
-// observer, derived state from the session caches.
-func (s *Solver) hooks(strat Strategy) opt.Hooks {
-	return opt.Hooks{
-		OnProgress:  s.observeOpt(strat),
-		SlotLengths: s.slotLengths,
-		BaseConfig:  s.baseConfig,
-		Eval:        s.eval(),
-	}
-}
-
-// orOptions assembles the OR/OS options of one run from the session
-// options, the shared pool and the instrumentation hooks. The session
-// pool is injected only where the nested worker count matches the
-// session's, so an explicit per-optimizer override (WithOROptions with
-// Workers set) still bounds that optimizer's own pool.
+// orOptions assembles the OR/OS options of one run: the session's
+// heuristic options with progress routed to the observer.
 func (s *Solver) orOptions(strat Strategy) opt.OROptions {
 	o := s.opts.OR
-	o.Hooks = s.hooks(strat)
-	o.OS.Hooks = o.Hooks
-	if o.Workers == s.opts.Workers {
-		o.Pool = s.pool
-	}
-	if o.OS.Workers == s.opts.Workers {
-		o.OS.Pool = s.pool
-	}
+	o.OnProgress = s.observeOpt(strat)
 	return o
 }
 
@@ -317,7 +205,7 @@ func (s *Solver) Analyze(ctx context.Context, cfg *core.Config) (*core.Analysis,
 // across the session pool, in input order (identical to analyzing them
 // serially); per-configuration failures are captured per item.
 func (s *Solver) AnalyzeAll(ctx context.Context, cfgs []*core.Config) ([]engine.Evaluation, error) {
-	return engine.EvaluateAllWith(ctx, s.pool, engine.Analyzer(s.eval()), cfgs)
+	return engine.EvaluateAll(ctx, s.pool, s.eval(), cfgs)
 }
 
 // Simulate executes a configuration in the discrete-event simulator.
@@ -333,35 +221,28 @@ func (s *Solver) Simulate(ctx context.Context, cfg *core.Config, a *core.Analysi
 	return sim.RunContext(ctx, s.app, s.arch, cfg, a, opts)
 }
 
-// Straightforward evaluates the SF baseline from the cached template.
+// Straightforward evaluates the SF baseline.
 func (s *Solver) Straightforward(ctx context.Context) (*opt.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg, err := s.normalizedBase()
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.eval()(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &opt.Result{Config: cfg, Analysis: a}, nil
+	return opt.Straightforward(s.app, s.arch, s.eval())
 }
 
 // OptimizeSchedule runs the Fig. 8 slot search with the session's
-// options, pool and caches, exposing the full internal result (seeds
+// options, pool and analyzer, exposing the full internal result (seeds
 // included) for experiment sweeps.
 func (s *Solver) OptimizeSchedule(ctx context.Context) (*opt.OSResult, error) {
-	o := s.orOptions(OptimizeSchedule)
-	return opt.OptimizeSchedule(ctx, s.app, s.arch, o.OS)
+	o := s.opts.OR.OS
+	o.OnProgress = s.observeOpt(OptimizeSchedule)
+	return opt.OptimizeSchedule(ctx, s.app, s.arch, s.pool, s.eval(), o)
 }
 
 // OptimizeResources runs the Fig. 7 two-step optimization with the
-// session's options, pool and caches, exposing the full internal
+// session's options, pool and analyzer, exposing the full internal
 // result (the OS sub-result included) for experiment sweeps.
 func (s *Solver) OptimizeResources(ctx context.Context) (*opt.ORResult, error) {
-	return opt.OptimizeResources(ctx, s.app, s.arch, s.orOptions(OptimizeResources))
+	return opt.OptimizeResources(ctx, s.app, s.arch, s.pool, s.eval(), s.orOptions(OptimizeResources))
 }
 
 // Anneal runs one simulated-annealing chain set from initial under the
@@ -371,11 +252,9 @@ func (s *Solver) Anneal(ctx context.Context, obj sa.Objective, initial *core.Con
 	if seed == 0 {
 		seed = s.opts.Seed
 	}
-	return sa.RunRestarts(ctx, s.app, s.arch, initial, sa.Options{
+	return sa.RunRestarts(ctx, s.app, s.arch, s.pool, s.eval(), initial, sa.Options{
 		Objective: obj, Iterations: s.opts.SAIterations, Seed: seed,
-		Restarts: s.opts.SARestarts, Workers: s.opts.Workers, Pool: s.pool,
-		Eval:       s.eval(),
-		OnProgress: s.observeSA(strat),
+		Restarts: s.opts.SARestarts, OnProgress: s.observeSA(strat),
 	})
 }
 
@@ -388,7 +267,7 @@ func (s *Solver) Synthesize(ctx context.Context) (*Result, error) {
 }
 
 // SynthesizeWith is Synthesize with an explicit strategy, letting one
-// session compare algorithms without rebuilding its caches.
+// session compare algorithms on one warm evaluator.
 func (s *Solver) SynthesizeWith(ctx context.Context, strat Strategy) (*Result, error) {
 	switch strat {
 	case Straightforward:
@@ -426,8 +305,8 @@ func (s *Solver) SynthesizeWith(ctx context.Context, strat Strategy) (*Result, e
 		if strat == SAR {
 			obj = sa.MinimizeBuffers
 		}
-		initial, err := s.normalizedBase()
-		if err != nil {
+		initial := core.DefaultConfig(s.app, s.arch)
+		if err := initial.Normalize(s.app); err != nil {
 			return nil, err
 		}
 		r, aerr := s.Anneal(ctx, obj, initial, s.opts.Seed, strat)

@@ -26,38 +26,43 @@ func system(t testing.TB, seed int64) (*model.Application, *model.Architecture) 
 	return sys.Application, sys.Architecture
 }
 
-// TestOptionsNormalizeWorkersAgree is the regression test for the old
-// facade's forwarding footgun, where Workers was copied into OR.Workers
-// and OR.OS.Workers independently and the three could end up disagreeing.
-// Normalization happens in exactly one place (New), and the nested
-// counts inherit top-down.
+// TestOptionsNormalizeWorkersAgree checks that Workers is the one
+// concurrency knob: the normalized count is the size of the session
+// pool every search runs on, and Derive shares that pool exactly when
+// the counts agree.
 func TestOptionsNormalizeWorkersAgree(t *testing.T) {
 	app, arch := system(t, 1)
 	cases := []struct {
-		name        string
-		opts        []Option
-		top, or, os int
+		name string
+		opts []Option
+		want int
 	}{
-		{"defaults", nil, 1, 1, 1},
-		{"top-level only", []Option{WithWorkers(8)}, 8, 8, 8},
-		{"or overrides", []Option{WithWorkers(8), WithOROptions(opt.OROptions{Workers: 5})}, 8, 5, 5},
-		{"negative is serial", []Option{WithWorkers(-3)}, 1, 1, 1},
+		{"defaults", nil, 1},
+		{"explicit", []Option{WithWorkers(8)}, 8},
+		{"heuristic options leave it alone", []Option{WithWorkers(3), WithOROptions(opt.OROptions{MaxIterations: 2})}, 3},
+		{"negative is serial", []Option{WithWorkers(-3)}, 1},
 	}
 	for _, c := range cases {
 		s, err := New(app, arch, c.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		o := s.Options()
-		if o.Workers != c.top || o.OR.Workers != c.or || o.OR.OS.Workers != c.os {
-			t.Errorf("%s: workers (top=%d or=%d os=%d), want (%d, %d, %d)",
-				c.name, o.Workers, o.OR.Workers, o.OR.OS.Workers, c.top, c.or, c.os)
+		if got := s.Options().Workers; got != c.want {
+			t.Errorf("%s: Options().Workers = %d, want %d", c.name, got, c.want)
 		}
-		// The invariant the old plumbing violated: when the caller only
-		// sets the top-level count, the nested counts cannot disagree.
-		if len(c.opts) < 2 && (o.OR.Workers != o.Workers || o.OR.OS.Workers != o.OR.Workers) {
-			t.Errorf("%s: nested worker counts disagree: %d/%d/%d", c.name, o.Workers, o.OR.Workers, o.OR.OS.Workers)
+		if got := s.pool.Workers(); got != c.want {
+			t.Errorf("%s: session pool has %d workers, want %d", c.name, got, c.want)
 		}
+	}
+	parent, err := New(app, arch, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := parent.Derive(WithWorkers(2), WithSeed(5)); d.pool != parent.pool {
+		t.Error("Derive with the same worker count built a second pool")
+	}
+	if d := parent.Derive(WithWorkers(4)); d.pool == parent.pool || d.pool.Workers() != 4 {
+		t.Errorf("Derive with 4 workers runs on a %d-worker pool", d.pool.Workers())
 	}
 }
 
@@ -339,9 +344,9 @@ func sim0() sim.Options { return sim.Options{Cycles: 1} }
 
 // TestObservedSharesCachesStreamsOwnEvents checks the derived-session
 // contract behind the service layer's per-job observers: Observed
-// shares the parent's derived-state caches (same template pointers),
-// streams events only to its own observer, and synthesizes a result
-// bit-identical to the parent's.
+// shares the parent's pool and incremental evaluator, streams events
+// only to its own observer, and synthesizes a result bit-identical to
+// the parent's.
 func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 	app, arch := system(t, 3)
 	var parentEvents []Progress
@@ -363,8 +368,8 @@ func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 
 	var derivedEvents []Progress
 	derived := parent.Observed(ObserverFunc(func(p Progress) { derivedEvents = append(derivedEvents, p) }))
-	if derived.cache != parent.cache {
-		t.Error("derived session does not share the parent's cache")
+	if derived.ev != parent.ev {
+		t.Error("derived session does not share the parent's evaluator")
 	}
 	if derived.pool != parent.pool {
 		t.Error("derived session does not share the parent's pool")
@@ -388,7 +393,7 @@ func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 // cache-sharing contract: a session derived from a base Solver with a
 // fresh option set produces results bit-identical to a cold Solver
 // built with those options, for every strategy, while sharing the
-// base's derived-state caches.
+// base's incremental evaluator.
 func TestDeriveBitIdenticalToColdSolver(t *testing.T) {
 	app, arch := system(t, 2)
 	base, err := New(app, arch) // plain base, as the service caches it
@@ -399,8 +404,8 @@ func TestDeriveBitIdenticalToColdSolver(t *testing.T) {
 	for _, strat := range Strategies() {
 		opts := []Option{WithStrategy(strat), WithSeed(7), WithSAIterations(40), WithSARestarts(2)}
 		derived := base.Derive(opts...)
-		if derived.cache != base.cache {
-			t.Fatalf("%v: derived session does not share the base cache", strat)
+		if derived.ev != base.ev {
+			t.Fatalf("%v: derived session does not share the base evaluator", strat)
 		}
 		if derived.pool != base.pool {
 			t.Fatalf("%v: derived session does not share the base pool (same workers)", strat)

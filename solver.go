@@ -7,10 +7,10 @@ import (
 )
 
 // Solver is a reusable synthesis session for one (application,
-// architecture) pair: it owns a shared evaluation pool and caches the
-// system's derived state (default configuration templates, slot-length
-// candidate sets), so repeated Analyze/Synthesize/Simulate calls stop
-// re-deriving invariants. Create one with NewSolver; it is safe for
+// architecture) pair: it owns the evaluation pool and the analyzer
+// (an incremental evaluator that remembers the system's analyses) every
+// search of the session runs on, so repeated Analyze/Synthesize/Simulate
+// calls reuse earlier work. Create one with NewSolver; it is safe for
 // concurrent use, and every operation is context-first:
 //
 //	solver, _ := repro.NewSolver(sys.Application, sys.Architecture,
@@ -45,10 +45,9 @@ type SolverOptions = solve.Options
 type DeltaStats = delta.Stats
 
 // NewSolver builds a synthesis session for the application/architecture
-// pair. Options normalize exactly once, here: worker counts propagate
-// top-down into the nested heuristic options (so they can never
-// disagree unless explicitly overridden), and the seed defaults to 1
-// for every randomized path.
+// pair. Options normalize exactly once, here: WithWorkers sizes the
+// one evaluation pool every search of the session runs on, and the
+// seed defaults to 1 for every randomized path.
 func NewSolver(app *Application, arch *Architecture, opts ...Option) (*Solver, error) {
 	return solve.New(app, arch, opts...)
 }
@@ -76,8 +75,8 @@ func WithWorkers(n int) Option { return solve.WithWorkers(n) }
 func WithObserver(obs Observer) Option { return solve.WithObserver(obs) }
 
 // WithOROptions tunes the OS/OR heuristics (iteration caps, seed
-// limits, neighbour budgets). Unset nested worker counts inherit the
-// WithWorkers value; an unset RandSeed inherits WithSeed.
+// limits, neighbour budgets). Their analyses run on the session's pool
+// and analyzer; an unset RandSeed inherits WithSeed.
 func WithOROptions(or opt.OROptions) Option { return solve.WithOROptions(or) }
 
 // WithDelta toggles the incremental delta-evaluation engine (on by
