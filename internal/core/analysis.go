@@ -202,10 +202,18 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 
 	a := &Analysis{
 		Schedule:   sched,
-		Proc:       state.proc,
-		Edge:       state.edge,
+		Proc:       make(map[model.ProcID]ProcResult, len(state.proc)),
+		Edge:       make(map[model.EdgeID]EdgeResult, len(state.edge)),
 		Iterations: iterations,
 		Converged:  converged && state.converged,
+	}
+	for p, pr := range state.proc {
+		if state.hasProc[p] {
+			a.Proc[model.ProcID(p)] = pr
+		}
+	}
+	for e, er := range state.edge {
+		a.Edge[model.EdgeID(e)] = er
 	}
 	a.finishMetrics(app, arch, cfg, state)
 	return a, nil
@@ -223,10 +231,10 @@ func (a *Analysis) finishMetrics(app *model.Application, arch *model.Architectur
 	for g := range app.Graphs {
 		var resp model.Time
 		for _, p := range app.Graphs[g].Procs {
-			pr, ok := a.Proc[p]
-			if !ok {
+			if !state.hasProc[p] {
 				continue
 			}
+			pr := &state.proc[p]
 			if !pr.Converged {
 				allConverged = false
 			}
@@ -319,10 +327,14 @@ func newETTaskSet(app *model.Application, arch *model.Architecture, cfg *Config,
 	return ts, nil
 }
 
-// etState is the mutable state of the holistic ET-side analysis.
+// etState is the mutable state of the holistic ET-side analysis,
+// indexed by ProcID and EdgeID. Every edge has a result; a process has
+// one when hasProc is set (ET processes, and TT processes the static
+// schedule gives an offset).
 type etState struct {
-	proc        map[model.ProcID]ProcResult
-	edge        map[model.EdgeID]EdgeResult
+	proc        []ProcResult
+	hasProc     []bool
+	edge        []EdgeResult
 	tasks       *etTaskSet
 	converged   bool
 	offsetBlind bool
@@ -335,8 +347,9 @@ type etState struct {
 // graphs and grow monotonically until the response times stabilize.
 func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sched *tsched.Schedule, tasks *etTaskSet, horizon model.Time, aopts AnalyzeOptions) *etState {
 	st := &etState{
-		proc:        make(map[model.ProcID]ProcResult, len(app.Procs)),
-		edge:        make(map[model.EdgeID]EdgeResult, len(app.Edges)),
+		proc:        make([]ProcResult, len(app.Procs)),
+		hasProc:     make([]bool, len(app.Procs)),
+		edge:        make([]EdgeResult, len(app.Edges)),
 		tasks:       tasks,
 		converged:   true,
 		offsetBlind: aopts.OffsetBlind,
@@ -356,6 +369,7 @@ func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sc
 			continue
 		}
 		st.proc[p.ID] = ProcResult{O: off, J: spread, W: 0, R: spread + p.WCET, Converged: true}
+		st.hasProc[p.ID] = true
 	}
 	for _, e := range app.Edges {
 		route := app.RouteOf(e.ID, arch)
@@ -415,23 +429,17 @@ func (st *etState) traverse(app *model.Application, arch *model.Architecture, cf
 				}
 				first = false
 			}
-			pr := st.proc[pid]
+			pr := &st.proc[pid]
 			pr.O = o
-			if worst > o {
-				pr.J = worst - o
-			} else {
-				pr.J = 0
-			}
+			pr.J = max(worst-o, 0)
 			// W, R filled by runRTA; keep current values meanwhile.
-			if pr.R < pr.J+p.WCET {
-				pr.R = pr.J + p.WCET
-			}
-			st.proc[pid] = pr
+			pr.R = max(pr.R, pr.J+p.WCET)
+			st.hasProc[pid] = true
 		}
 		// Outgoing edges: set the entry offset/jitter of their legs.
-		src := st.proc[pid]
+		src := &st.proc[pid]
 		for _, e := range app.OutEdges(pid) {
-			er := st.edge[e]
+			er := &st.edge[e]
 			switch er.Route {
 			case model.RouteCAN, model.RouteETtoTT:
 				er.CANO = src.O
@@ -446,7 +454,6 @@ func (st *etState) traverse(app *model.Application, arch *model.Architecture, cf
 					er.CANJ = spread + rT + poll
 				}
 			}
-			st.edge[e] = er
 		}
 	}
 }
@@ -465,10 +472,10 @@ func (st *etState) runRTA(horizon model.Time) bool {
 	}
 	for k, ref := range refs {
 		if ref.msg {
-			er := st.edge[ref.edge]
+			er := &st.edge[ref.edge]
 			tasks[k].O, tasks[k].J = er.CANO, er.CANJ
 		} else {
-			pr := st.proc[ref.proc]
+			pr := &st.proc[ref.proc]
 			tasks[k].O, tasks[k].J = pr.O, pr.J
 		}
 	}
@@ -493,14 +500,13 @@ func (st *etState) runRTA(horizon model.Time) bool {
 	changed := false
 	for k, r := range res {
 		if !refs[k].msg {
-			pr := st.proc[refs[k].proc]
+			pr := &st.proc[refs[k].proc]
 			if pr.W != r.W || pr.R != r.R {
 				changed = true
 			}
 			pr.W, pr.R, pr.Converged = r.W, r.R, r.Converged
-			st.proc[refs[k].proc] = pr
 		} else {
-			er := st.edge[refs[k].edge]
+			er := &st.edge[refs[k].edge]
 			if er.CANW != r.W || er.CANR != r.R {
 				changed = true
 			}
@@ -509,7 +515,6 @@ func (st *etState) runRTA(horizon model.Time) bool {
 			if er.Route == model.RouteCAN || er.Route == model.RouteTTtoET {
 				er.Delivery = er.CANO + er.CANR
 			}
-			st.edge[refs[k].edge] = er
 		}
 	}
 	return changed
@@ -541,7 +546,7 @@ func (st *etState) runQueue(app *model.Application, arch *model.Architecture, cf
 	}
 	changed := false
 	for i, r := range res {
-		er := st.edge[ids[i]]
+		er := &st.edge[ids[i]]
 		delivery := er.CANO + er.QueueJ + r.W + cfg.Round.Slots[slot].Length
 		if er.QueueW != r.W || er.QueueI != r.I || er.Delivery != delivery {
 			changed = true
@@ -551,7 +556,6 @@ func (st *etState) runQueue(app *model.Application, arch *model.Architecture, cf
 		if !r.Converged {
 			er.Converged = false
 		}
-		st.edge[ids[i]] = er
 	}
 	return changed
 }

@@ -29,6 +29,17 @@
 // PriorityOrder): sorted by (resource, priority), each resource is one
 // contiguous run, hp(i) is the part of i's run before i, and the
 // blocking factor is a suffix maximum over the same run.
+//
+// The kernel evaluates the closed form above without recomputing its
+// invariants. When a task's fixed point starts, every interferer's
+// combined numerator offset (jitter, relative offset, the
+// exclusive/inclusive shift and the lingering bound) goes into a reused
+// buffer, so an iteration costs one division per interferer. Across
+// the response passes (see AnalyzeStable) a task is recomputed only
+// when the response of a same-transaction interferer changed in the
+// previous pass; every other task keeps its result, which is exact.
+// RelOffset and CountArrivals remain the closed form for other
+// callers and tests.
 package rta
 
 import (
@@ -101,11 +112,12 @@ type Options struct {
 	// verifies it.
 	Pass1Warm []model.Time
 	// SelfCheck, when true, recomputes every warm-started interference
-	// fixed point (Pass1Warm and the cross-pass warm starts alike) from
-	// its cold starting point and panics on any mismatch — the
+	// fixed point (Pass1Warm and the cross-pass warm starts alike) and
+	// every fixed point a later pass skips as clean from its cold
+	// starting point and panics on any mismatch — the
 	// proof-of-equivalence check of the incremental evaluator. Tests
 	// enable it; it is off in production because it undoes the warm
-	// start's savings.
+	// starts' and the skips' savings.
 	SelfCheck bool
 }
 
@@ -115,6 +127,9 @@ type Options struct {
 func RelOffset(oi, oj, tj model.Time, sameTrans bool) model.Time {
 	if !sameTrans {
 		return 0
+	}
+	if d := oj - oi; d >= 0 && d < tj {
+		return d
 	}
 	d := (oj - oi) % tj
 	if d < 0 {
@@ -210,9 +225,11 @@ func Analyze(tasks []Task, opt Options) ([]Result, error) {
 // from the previous pass's values: the response vector grows
 // monotonically across passes and the interference count is monotone in
 // it, so each pass's least fixed point bounds the next one's from
-// below. The pass trajectory — and with it every W/R value, every
-// convergence flag and the pass budget — is identical to a cold
-// iteration.
+// below. A task none of whose same-transaction interferers changed its
+// response in the previous pass is not recomputed at all: its inputs
+// are unchanged (see dependsOnChange). The pass trajectory — and with
+// it every W/R value, every convergence flag and the pass budget — is
+// identical to a cold iteration.
 //
 // Interference is read off PriorityOrder, so callers that hand in tasks
 // already sorted by (resource, priority) skip the sort; the results do
@@ -221,51 +238,69 @@ func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 
 	if opt.Horizon <= 0 {
 		return nil, false, nil, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
 	}
-	ord, err := validOrder(tasks)
+	ord, longest, err := validOrder(tasks)
 	if err != nil {
 		return nil, false, nil, err
 	}
 	if opt.Pass1Warm != nil && len(opt.Pass1Warm) != len(tasks) {
 		return nil, false, nil, fmt.Errorf("rta: Pass1Warm has %d entries for %d tasks", len(opt.Pass1Warm), len(tasks))
 	}
-	res = make([]Result, len(tasks))
-	scratch := make([]model.Time, 2*len(tasks))
-	resp, warm := scratch[:len(tasks)], scratch[len(tasks):]
-	for i := range tasks {
-		warm[i] = tasks[i].B
-		if opt.Pass1Warm != nil && opt.Pass1Warm[i] > warm[i] {
-			warm[i] = opt.Pass1Warm[i]
-		}
-	}
+	n := len(tasks)
+	res = make([]Result, n)
+	// One allocation holds the pass in which each response last changed
+	// and the offsets of the fixed point under way (one per task in
+	// hp(i), which is at most a run less one task).
+	scratch := make([]model.Time, n+max(longest-1, 0))
+	changedIn, offsets := scratch[:n], scratch[n:]
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		changed := false
-		// run is the position where the current resource's run starts;
-		// hp(i) is the slice of the run before i.
-		run := 0
-		for p, i := range ord {
-			if tasks[i].Resource != tasks[ord[run]].Resource {
-				run = p
+		// Each run is walked from its lowest priority up. hp(i) is the
+		// part of the run before i, so while task i is analyzed res still
+		// holds its interferers' responses from the previous pass (zero
+		// in pass 0): res doubles as the response vector.
+		for end := len(ord); end > 0; {
+			start := end - 1
+			for start > 0 && tasks[ord[start-1]].Resource == tasks[ord[end-1]].Resource {
+				start--
 			}
-			hp := ord[run:p]
-			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp, warm[i])
-			if opt.SelfCheck && warm[i] > tasks[i].B {
-				cold := analyzeOne(tasks, i, opt.Horizon, resp, hp, tasks[i].B)
-				if cold != res[i] {
-					panic(fmt.Sprintf("rta: warm start of task %s diverged from cold start: warm %+v, cold %+v", name(tasks[i], i), res[i], cold))
+			for p := end - 1; p >= start; p-- {
+				i := ord[p]
+				me, hp := &tasks[i], ord[start:p]
+				if pass > 0 && !dependsOnChange(tasks, i, hp, changedIn, model.Time(pass-1)) {
+					// Clean: the inputs of the fixed point are those of
+					// the previous pass, so res[i] stands.
+					if opt.SelfCheck {
+						cold := analyzeOne(tasks, i, hp, fillOffsets(offsets, tasks, i, hp, res), opt.Horizon, me.B)
+						if cold != res[i] {
+							panic(fmt.Sprintf("rta: skipped task %s differs from its cold start: kept %+v, cold %+v", name(*me, i), res[i], cold))
+						}
+					}
+					continue
 				}
+				// Warm start: the previous pass's W, or Pass1Warm in pass 0.
+				warm := res[i].W
+				if pass == 0 && opt.Pass1Warm != nil {
+					warm = opt.Pass1Warm[i]
+				}
+				a := fillOffsets(offsets, tasks, i, hp, res)
+				r := analyzeOne(tasks, i, hp, a, opt.Horizon, warm)
+				if opt.SelfCheck && warm > me.B {
+					if cold := analyzeOne(tasks, i, hp, a, opt.Horizon, me.B); cold != r {
+						panic(fmt.Sprintf("rta: warm start of task %s diverged from cold start: warm %+v, cold %+v", name(*me, i), r, cold))
+					}
+				}
+				if r.R != res[i].R {
+					changedIn[i] = model.Time(pass)
+					changed = true
+				}
+				res[i] = r
 			}
-			warm[i] = res[i].W
+			end = start
 		}
 		if pass == 0 {
-			pass1 = make([]model.Time, len(tasks))
+			pass1 = make([]model.Time, n)
 			for i := range res {
 				pass1[i] = res[i].W
-			}
-		}
-		for i := range res {
-			if res[i].R != resp[i] {
-				resp[i] = res[i].R
-				changed = true
 			}
 		}
 		if !changed {
@@ -276,6 +311,27 @@ func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 
 		res[i].Converged = false
 	}
 	return res, false, pass1, nil
+}
+
+// dependsOnChange reports whether the fixed point of task i has to be
+// recomputed in the pass after pass prev. analyzeOne reads the response
+// vector only through the lingering windows of the same-transaction
+// tasks in hp(i), and any warm start at or below the fixed point gives
+// the same result, so task i is clean unless one of those tasks changed
+// its response in pass prev. changedIn starts at zero, which marks every
+// task as changed in pass 0; that is exact, because every response
+// starts at 0 and ends pass 0 at R >= C > 0.
+func dependsOnChange(tasks []Task, i int, hp []int, changedIn []model.Time, prev model.Time) bool {
+	trans := tasks[i].Trans
+	if trans < 0 {
+		return false
+	}
+	for _, j := range hp {
+		if tasks[j].Trans == trans && changedIn[j] == prev {
+			return true
+		}
+	}
+	return false
 }
 
 // PriorityOrder returns the task indices sorted by (Resource,
@@ -328,21 +384,28 @@ func Blocking(tasks []Task) []model.Time {
 // validOrder is ValidateTasks followed by PriorityOrder without
 // ValidateTasks' lookup map: duplicate priorities are adjacent in the
 // order. On any violation it returns ValidateTasks' error, so the text
-// and the choice of the reported task are the same.
-func validOrder(tasks []Task) ([]int, error) {
+// and the choice of the reported task are the same. It also returns the
+// length of the longest resource run.
+func validOrder(tasks []Task) (ord []int, longest int, err error) {
 	for i := range tasks {
 		t := &tasks[i]
 		if t.C <= 0 || t.T <= 0 || t.J < 0 || t.B < 0 || t.O < 0 {
-			return nil, ValidateTasks(tasks)
+			return nil, 0, ValidateTasks(tasks)
 		}
 	}
-	ord := PriorityOrder(tasks)
-	for p := 1; p < len(ord); p++ {
+	ord = PriorityOrder(tasks)
+	run := 0
+	for p := 1; p <= len(ord); p++ {
+		if p == len(ord) || tasks[ord[p]].Resource != tasks[ord[run]].Resource {
+			longest = max(longest, p-run)
+			run = p
+			continue
+		}
 		if comparePriority(&tasks[ord[p-1]], &tasks[ord[p]]) == 0 {
-			return nil, ValidateTasks(tasks)
+			return nil, 0, ValidateTasks(tasks)
 		}
 	}
-	return ord, nil
+	return ord, longest, nil
 }
 
 // ValidateTasks checks the structural requirements: positive C and T,
@@ -376,18 +439,51 @@ func name(t Task, i int) string {
 	return fmt.Sprintf("#%d", i)
 }
 
-// analyzeOne solves the interference fixed point of task i under the
-// current response vector, iterating from the warm starting point
-// (warm == B_i for a cold start). Any warm value at or below the least
-// fixed point yields the identical result: the iteration is monotone
-// non-decreasing and every iterate stays bounded by the fixed point, so
-// the horizon test and the converged flag cannot trigger differently.
-func analyzeOne(tasks []Task, i int, horizon model.Time, resp []model.Time, hp []int, warm model.Time) Result {
+// fillOffsets writes the loop invariant of task i's fixed point for
+// every j in hp(i) into buf, under the responses resp, and returns the
+// filled prefix, parallel to hp. The arrival count of CountArrivals is
+// max(0, floorDiv(x, T_j) - kmin + 1) with x = win + J_j - O_ij, less one
+// for a preemptable task i (the exclusive count ceil(y/T) - 1 equals
+// floorDiv(y - 1, T)), and kmin the lingering bound of a
+// same-transaction j (0 for any other j). Folding the integer -kmin + 1
+// into the numerator as whole periods gives
+//
+//	a_ij = J_j - O_ij [- 1] + (1 - kmin) * T_j
+//	count = (win + a_ij) / T_j if win + a_ij >= 0, else 0
+//
+// so every iteration does one truncating division per interferer.
+func fillOffsets(buf []model.Time, tasks []Task, i int, hp []int, resp []Result) []model.Time {
 	me := &tasks[i]
-	w := me.B
-	if warm > w {
-		w = warm
+	buf = buf[:len(hp)]
+	for k, j := range hp {
+		o := &tasks[j]
+		a, kmin := o.J, model.Time(0)
+		if o.Trans == me.Trans && o.Trans >= 0 {
+			oij := RelOffset(me.O, o.O, o.T, true)
+			a -= oij
+			// Above -T_j the floor is -1 or 0 and kmin clamps to 0.
+			if x := -oij - o.J - resp[j].R; x <= -o.T {
+				kmin = floorDiv(x, o.T) + 1
+			}
+		}
+		if !me.NonPreemptive {
+			a--
+		}
+		buf[k] = a + (1-kmin)*o.T
 	}
+	return buf
+}
+
+// analyzeOne solves the interference fixed point of task i against the
+// tasks hp with the offsets a (see fillOffsets), iterating from the
+// warm starting point (warm <= B for a cold start). Any warm value at or
+// below the least fixed point yields the identical result: the
+// iteration is monotone non-decreasing and every iterate stays bounded
+// by the fixed point, so the horizon test and the converged flag cannot
+// trigger differently.
+func analyzeOne(tasks []Task, i int, hp []int, a []model.Time, horizon, warm model.Time) Result {
+	me, a := &tasks[i], a[:len(hp)]
+	w := max(me.B, warm)
 	// Termination needs no iteration guard: below the least fixed point
 	// every iterate strictly increases (f(w) <= w would make w a prefix
 	// point below the least fixed point), so the loop either reaches the
@@ -398,11 +494,11 @@ func analyzeOne(tasks []Task, i int, horizon model.Time, resp []model.Time, hp [
 			win += me.C
 		}
 		next := me.B
-		for _, j := range hp {
-			o := &tasks[j]
-			same := o.Trans == me.Trans && o.Trans >= 0
-			oij := RelOffset(me.O, o.O, o.T, same)
-			next += CountArrivals(win, o.J, oij, o.T, resp[j], me.NonPreemptive, same) * o.C
+		for k, j := range hp {
+			if x := win + a[k]; x >= 0 {
+				o := &tasks[j]
+				next += x / o.T * o.C
+			}
 		}
 		if next == w {
 			return Result{W: w, R: me.J + w + me.C, Converged: true}

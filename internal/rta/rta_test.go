@@ -43,6 +43,22 @@ func TestClassicRateMonotonic(t *testing.T) {
 	}
 }
 
+// TestPreemptiveBoundaryRelease checks the exclusive count of a
+// preemptable task: hp runs in [0,2), lo in [2,5), and hp's next
+// release at 5 coincides with lo's completion, so it does not
+// interfere (r = 5). Counting it, as the inclusive form of a message
+// queue would, gives r = 7.
+func TestPreemptiveBoundaryRelease(t *testing.T) {
+	tasks := []Task{
+		{Name: "hp", Resource: 0, Priority: 0, C: 2, T: 5, Trans: -1},
+		{Name: "lo", Resource: 0, Priority: 1, C: 3, T: 20, Trans: -1},
+	}
+	res := analyze(t, tasks)
+	if res[1].W != 2 || res[1].R != 5 {
+		t.Errorf("lo: w=%d r=%d, want w=2 r=5", res[1].W, res[1].R)
+	}
+}
+
 // TestFig4aProcesses checks P2/P3 of the paper's §4.2 example on node N2:
 // priorityP3 > priorityP2, O2=O3=80, J2=15, J3=25, C2=C3=20, T=240.
 // Expected: w2 = 20 (one preemption by P3), r2 = 55; w3 = 0, r3 = 45.
@@ -407,8 +423,9 @@ func higherPriorityIndex(tasks []Task) [][]int {
 	return hp
 }
 
-// analyzeReference is AnalyzeStable driven by higherPriorityIndex over
-// the tasks in index order.
+// analyzeReference is AnalyzeStable as it was first written: every
+// task's fixed point recomputed in every pass by analyzeOneReference,
+// driven by higherPriorityIndex over the tasks in index order.
 func analyzeReference(tasks []Task, opt Options) ([]Result, bool, []model.Time, error) {
 	if opt.Horizon <= 0 {
 		return nil, false, nil, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
@@ -429,7 +446,7 @@ func analyzeReference(tasks []Task, opt Options) ([]Result, bool, []model.Time, 
 	hp := higherPriorityIndex(tasks)
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		for i := range tasks {
-			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp[i], warm[i])
+			res[i] = analyzeOneReference(tasks, i, opt.Horizon, resp, hp[i], warm[i])
 			warm[i] = res[i].W
 		}
 		if pass == 0 {
@@ -453,6 +470,34 @@ func analyzeReference(tasks []Task, opt Options) ([]Result, bool, []model.Time, 
 		res[i].Converged = false
 	}
 	return res, false, pass1, nil
+}
+
+// analyzeOneReference is the interference fixed point of task i in its
+// closed form: RelOffset and CountArrivals for every interferer in every
+// iteration.
+func analyzeOneReference(tasks []Task, i int, horizon model.Time, resp []model.Time, hp []int, warm model.Time) Result {
+	me := &tasks[i]
+	w := max(me.B, warm)
+	for {
+		win := w
+		if !me.NonPreemptive {
+			win += me.C
+		}
+		next := me.B
+		for _, j := range hp {
+			o := &tasks[j]
+			same := o.Trans == me.Trans && o.Trans >= 0
+			oij := RelOffset(me.O, o.O, o.T, same)
+			next += CountArrivals(win, o.J, oij, o.T, resp[j], me.NonPreemptive, same) * o.C
+		}
+		if next == w {
+			return Result{W: w, R: me.J + w + me.C, Converged: true}
+		}
+		if next > horizon {
+			return Result{W: horizon, R: me.J + horizon + me.C, Converged: false}
+		}
+		w = next
+	}
 }
 
 // maxLowerC is the blocking factor by definition: the largest C among
@@ -534,10 +579,81 @@ func oracleTaskSet(r *rand.Rand) []Task {
 	return tasks
 }
 
+// longRunTaskSet draws one long resource run: 40 to 80 tasks on a
+// single resource at roughly 50-100% load, at most two transactions (each
+// with its own period) next to unrelated -1 tasks, and mixed
+// preemption. Long runs with shared transactions need several response
+// passes, in which most tasks are clean and skipped.
+func longRunTaskSet(r *rand.Rand) []Task {
+	n := 40 + r.Intn(41)
+	periods := []model.Time{model.Time(100 * (2 + r.Intn(6))), model.Time(100 * (2 + r.Intn(6)))}
+	transactions := 1 + r.Intn(2)
+	tasks := make([]Task, n)
+	for i, prio := range r.Perm(n) {
+		trans := r.Intn(transactions+1) - 1
+		period := model.Time(100 * (2 + r.Intn(6)))
+		if trans >= 0 {
+			period = periods[trans]
+		}
+		tasks[i] = Task{
+			Name:          fmt.Sprintf("t%d", i),
+			Priority:      prio,
+			C:             1 + model.Time(r.Intn(8)),
+			T:             period,
+			O:             model.Time(r.Int63n(int64(period))),
+			J:             model.Time(r.Int63n(int64(period / 4))),
+			Trans:         trans,
+			NonPreemptive: r.Intn(3) == 0,
+		}
+	}
+	for i, b := range Blocking(tasks) {
+		if tasks[i].NonPreemptive {
+			tasks[i].B = b
+		}
+	}
+	return tasks
+}
+
+// requireReference fails the test unless AnalyzeStable and
+// analyzeReference agree on tasks under opt: the same results,
+// stability flag and first-pass delays. It returns the results.
+func requireReference(t *testing.T, label string, tasks []Task, opt Options) []Result {
+	t.Helper()
+	got, gotStable, gotPass1, err := AnalyzeStable(tasks, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, wantStable, wantPass1, _ := analyzeReference(tasks, opt)
+	if !reflect.DeepEqual(got, want) || gotStable != wantStable || !reflect.DeepEqual(gotPass1, wantPass1) {
+		t.Fatalf("%s: got %+v stable %v pass1 %v, reference %+v stable %v pass1 %v",
+			label, got, gotStable, gotPass1, want, wantStable, wantPass1)
+	}
+	return got
+}
+
+// checkOracle runs requireReference on tasks cold and warm-started from
+// a copy with pointwise smaller jitters (which satisfies the Pass1Warm
+// contract) with the self-check armed. It returns the cold results.
+func checkOracle(t *testing.T, r *rand.Rand, label string, tasks []Task, horizon model.Time) []Result {
+	t.Helper()
+	smaller := slices.Clone(tasks)
+	for i := range smaller {
+		smaller[i].J = model.Time(r.Intn(int(smaller[i].J) + 1))
+	}
+	_, _, warm, err := AnalyzeStable(smaller, Options{Horizon: horizon})
+	if err != nil {
+		t.Fatalf("%s: smaller jitters: %v", label, err)
+	}
+	res := requireReference(t, label+" cold", tasks, Options{Horizon: horizon})
+	requireReference(t, label+" warm", tasks, Options{Horizon: horizon, Pass1Warm: warm, SelfCheck: true})
+	return res
+}
+
 // TestPriorityOrderOracle pins AnalyzeStable and Blocking to the
 // reference implementations on random task sets: the same results,
 // stability flag and first-pass delays, cold and warm-started (with the
-// self-check armed), under a generous and a tight horizon.
+// self-check armed), under a generous and a tight horizon. The long-run
+// trials make sure the multi-pass, skip and horizon-clamp paths all run.
 func TestPriorityOrderOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 400; trial++ {
@@ -552,33 +668,32 @@ func TestPriorityOrderOracle(t *testing.T) {
 		if trial%3 == 0 {
 			horizon = model.Time(50 + r.Intn(200))
 		}
-		opt := Options{Horizon: horizon}
-		check := func(label string, opt Options) []model.Time {
-			t.Helper()
-			got, gotStable, gotPass1, err := AnalyzeStable(tasks, opt)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, label, err)
-			}
-			want, wantStable, wantPass1, _ := analyzeReference(tasks, opt)
-			if !reflect.DeepEqual(got, want) || gotStable != wantStable || !reflect.DeepEqual(gotPass1, wantPass1) {
-				t.Fatalf("trial %d %s: got %+v stable %v pass1 %v, reference %+v stable %v pass1 %v",
-					trial, label, got, gotStable, gotPass1, want, wantStable, wantPass1)
-			}
-			return gotPass1
-		}
-		// Warm start from a copy with pointwise smaller jitters, which
-		// satisfies the Pass1Warm contract.
-		smaller := slices.Clone(tasks)
-		for i := range smaller {
-			smaller[i].J = model.Time(r.Intn(int(smaller[i].J) + 1))
-		}
-		_, _, warm, err := AnalyzeStable(smaller, opt)
-		if err != nil {
-			t.Fatalf("trial %d: smaller jitters: %v", trial, err)
-		}
-		check("cold", opt)
-		check("warm", Options{Horizon: horizon, Pass1Warm: warm, SelfCheck: true})
+		checkOracle(t, r, fmt.Sprintf("trial %d", trial), tasks, horizon)
 	}
+
+	multiPass, clamped := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		tasks := longRunTaskSet(r)
+		horizon := model.Time(hz)
+		if trial%3 == 0 {
+			horizon = model.Time(400 + r.Intn(400))
+		}
+		res := checkOracle(t, r, fmt.Sprintf("long run %d", trial), tasks, horizon)
+		_, _, pass1, _ := AnalyzeStable(tasks, Options{Horizon: horizon})
+		for i := range res {
+			if res[i].W != pass1[i] {
+				multiPass++
+				break
+			}
+		}
+		if slices.ContainsFunc(res, func(r Result) bool { return !r.Converged }) {
+			clamped++
+		}
+	}
+	if multiPass < 10 || clamped < 5 {
+		t.Errorf("long runs: %d multi-pass and %d clamped trials of 60, want >= 10 and >= 5", multiPass, clamped)
+	}
+	t.Logf("long runs: %d multi-pass, %d clamped trials of 60", multiPass, clamped)
 }
 
 // TestDuplicatePriorityError checks that AnalyzeStable reports a
